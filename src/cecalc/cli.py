@@ -176,6 +176,11 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         "min": str(solution.min_value),
         "argmin": [[str(v) for v in pt] for pt in solution.argmin_points],
         "candidates_examined": solution.candidates_examined,
+        "planes": solution.planes,
+        "subsets": solution.subsets,
+        "singular": solution.singular,
+        "infeasible": solution.infeasible,
+        "feasible": solution.feasible,
     }
     pts = ", ".join(_point_text(pt) for pt in solution.argmin_points)
     _emit(

@@ -2,19 +2,25 @@
 
 A program has n variables, equality constraints, inequality constraints
 (coeffs . x <= rhs), and an objective made of a linear part plus hinge
-terms sign * max(0, coeffs . x - rhs).  Such an objective is linear on
-each cell of the hyperplane arrangement cut by the hinge breakpoints, so
-its minimum over a bounded polytope is attained at an intersection point
-of boundary and breakpoint hyperplanes.  The solver therefore:
+terms sign * max(0, coeffs . x - rhs).  A hinge of sign +1 is convex and
+one of sign -1 is concave.  On each cell of the hyperplane arrangement cut
+by the breakpoints of the +1 hinges, the objective is linear plus concave,
+so its minimum over the polytope intersected with that cell is attained at
+a vertex of that intersection: a point where m independent boundary or
++1 breakpoint hyperplanes meet.  The solver therefore:
 
   1. eliminates the equalities exactly, working in the affine subspace;
-  2. certifies boundedness by checking that the recession cone of the
-     projected inequalities is trivial (lineality space plus extreme-ray
-     enumeration over (m-1)-subsets of the constraint normals);
-  3. enumerates every m-subset of the projected boundary/breakpoint
-     hyperplanes, solves each square system by fraction-free elimination
+  2. certifies boundedness, in integers, by checking that the recession
+     cone of the projected inequalities is trivial (lineality space plus
+     extreme-ray enumeration over (m-1)-subsets of the constraint normals);
+  3. enumerates every m-subset of the projected boundary hyperplanes and
+     +1 breakpoint hyperplanes (the -1 breakpoints need no vertices of
+     their own), solves each square system by fraction-free elimination
      over the integers, keeps the feasible intersection points, and
      evaluates the objective exactly at each.
+
+Programs whose subset counts exceed ``MAX_SUBSETS`` are refused with
+ValueError before any enumeration starts.
 
 Everything is Fraction/integer arithmetic; there is no floating point
 anywhere, so reported minima and argmin points are exact.
@@ -27,11 +33,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
+
+# Largest number of subsets the boundedness check or the vertex enumeration
+# may visit; larger programs would run for hours, so they are refused.
+MAX_SUBSETS = 10**6
 
 
 class PLError(Exception):
@@ -101,8 +111,21 @@ def program(
 @dataclass(frozen=True)
 class PLSolution:
     min_value: Fraction
-    argmin_points: tuple[Vector, ...]  # sorted lexicographically, deduplicated
-    candidates_examined: int
+    # The minimising vertices of the reduced arrangement (boundary and +1
+    # breakpoint hyperplanes), sorted lexicographically, deduplicated.  The
+    # -1 hinges are concave, so the minimum is always attained at one; a
+    # minimiser that is a vertex only where a -1 breakpoint cuts is not listed.
+    argmin_points: tuple[Vector, ...]
+    planes: int  # distinct hyperplanes enumerated, after deduplication
+    subsets: int  # m-subsets of those planes tried
+    singular: int  # subsets whose planes do not meet in one point
+    infeasible: int  # intersection points outside the region
+    feasible: int  # intersection points inside the region, each evaluated
+
+    @property
+    def candidates_examined(self) -> int:
+        """Non-singular subsets: intersection points checked for feasibility."""
+        return self.infeasible + self.feasible
 
 
 # -- exact evaluation ---------------------------------------------------------
@@ -260,29 +283,68 @@ def _solve_square_int(rows: list[tuple[tuple[int, ...], int]], m: int) -> Option
     return tuple(out)
 
 
+def _echelon_int(rows: list[tuple[int, ...]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss).
+
+    Returns (mat, pivot column list).  Every division is exact, and after
+    the last step each pivot row holds the same value D != 0 at its pivot
+    column and 0 at every other pivot column, so mat / D is the reduced row
+    echelon form.
+    """
+    mat = [list(w) for w in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        row_r = mat[r]
+        pivot = row_r[c]
+        for i, row_i in enumerate(mat):
+            if i != r:
+                factor = row_i[c]
+                mat[i] = [(pivot * v - factor * w) // prev for v, w in zip(row_i, row_r)]
+        pivots.append(c)
+        prev = pivot
+        r += 1
+    return mat, pivots
+
+
 def _null_ray(rows: list[tuple[int, ...]], m: int) -> Optional[tuple[int, ...]]:
-    """Generator of the null space of the stacked rows when it is a line."""
-    mat = [[Fraction(v) for v in w] for w in rows]
-    mat, pivots = _rref(mat)
+    """Primitive generator of the null space of m - 1 rows when it is a line.
+
+    It is read off D times the reduced row echelon form: D at the one
+    non-pivot column, minus that column's entries at the pivot columns.
+    Divided by its gcd with that entry kept positive, it is the ray the
+    rational echelon form gives, whatever D is.
+    """
+    mat, pivots = _echelon_int(rows)
     if len(pivots) != m - 1:
         return None
-    free = next(c for c in range(m) if c not in set(pivots))
-    vec = [Fraction(0)] * m
-    vec[free] = Fraction(1)
+    free = next(c for c in range(m) if c not in pivots)
+    vec = [0] * m
+    vec[free] = mat[0][pivots[0]]
     for r, c in enumerate(pivots):
         vec[c] = -mat[r][free]
-    den = lcm(*(v.denominator for v in vec))
-    return tuple(int(v * den) for v in vec)
+    g = gcd(*vec)
+    if vec[free] < 0:
+        g = -g
+    return tuple(v // g for v in vec)
 
 
-def _check_bounded(ineq_planes: list[tuple[tuple[int, ...], int]], m: int) -> None:
-    """Raise UnboundedError unless {t : W t <= 0} is the zero cone."""
-    rows = [w for w, _ in ineq_planes if any(v != 0 for v in w)]
+def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
+    """Raise UnboundedError unless {t : W t <= 0} is the zero cone.
+
+    ``rows`` are the nonzero constraint normals, the rows of W.
+    """
     if not rows:
         raise UnboundedError("no inequality constrains the affine subspace")
-    mat = [[Fraction(v) for v in w] for w in rows]
-    _, pivots = _rref(mat)
-    if len(pivots) < m:
+    if len(_echelon_int(rows)[1]) < m:
         raise UnboundedError("constraint normals do not span; region contains a line")
     if m == 1:
         # every nonzero normal pins one side; both signs blocked iff normals differ in sign
@@ -304,11 +366,20 @@ def _check_bounded(ineq_planes: list[tuple[tuple[int, ...], int]], m: int) -> No
 def solve(p: PLProgram) -> PLSolution:
     """Exact global minimum of the hinge objective over the feasible region.
 
+    On each cell cut by the +1 breakpoints the objective is linear plus the
+    concave -1 hinges, so its minimum over the region intersected with the
+    cell sits at a vertex of that intersection.  Only the boundary planes
+    and the +1 breakpoint planes are enumerated; the -1 breakpoint planes
+    cannot move the minimum.  ``argmin_points`` are the minimising vertices
+    of that reduced arrangement, each also a vertex of the full one.
+
     Raises InfeasibleError when the region is empty and UnboundedError when
     it is unbounded.  Boundedness is a property of the recession cone of
     the constraint system and is certified before minimization (the vertex
     method needs a polytope), so a system that is simultaneously empty and
-    recession-positive reports UnboundedError.
+    recession-positive reports UnboundedError.  Raises ValueError, before
+    either step, when the boundedness check or the enumeration would visit
+    more than ``MAX_SUBSETS`` subsets.
     """
     x0, basis = _affine_subspace(p)
     m = len(basis)
@@ -325,15 +396,18 @@ def solve(p: PLProgram) -> PLSolution:
     if m == 0:
         x = x0
         if all(_dot(a, x) <= b for a, b in p.inequalities):
-            return PLSolution(objective_value(p, x), (x,), 1)
+            return PLSolution(
+                objective_value(p, x), (x,), planes=0, subsets=1, singular=0, infeasible=0,
+                feasible=1,
+            )
         raise InfeasibleError("the unique equality solution violates an inequality")
-
-    _check_bounded(proj_ineq, m)
 
     seen: set[tuple[tuple[int, ...], int]] = set()
     planes: list[tuple[tuple[int, ...], int]] = []
     breakpoint_planes = []
     for h in p.hinges:
+        if h.sign < 0:
+            continue
         w, c, _ = _project_plane(h.coeffs, h.rhs, x0, basis)
         if any(v != 0 for v in w):
             breakpoint_planes.append((w, c))
@@ -343,23 +417,33 @@ def solve(p: PLProgram) -> PLSolution:
             seen.add(key)
             planes.append(key)
 
+    for count, what, size in (
+        (len(proj_ineq), "inequality planes", m - 1),
+        (len(planes), "distinct boundary and +1 breakpoint planes", m),
+    ):
+        total = comb(count, size)
+        if total > MAX_SUBSETS:
+            raise ValueError(
+                f"program too large: {count} {what} in dimension m = {m} give "
+                f"{total} subsets of size {size}, over the limit of {MAX_SUBSETS}"
+            )
+
+    _check_bounded([w for w, _ in proj_ineq], m)
+
     best: Optional[Fraction] = None
     argmins: dict[Vector, None] = {}
-    examined = 0
+    subsets = singular = infeasible = 0
     for subset in combinations(planes, m):
+        subsets += 1
         t = _solve_square_int(list(subset), m)
         if t is None:
+            singular += 1
             continue
-        examined += 1
         # integer feasibility check in subspace coordinates
         den = lcm(*(v.denominator for v in t))
         tn = [int(v * den) for v in t]
-        ok = True
-        for w, c in proj_ineq:
-            if sum(wi * ti for wi, ti in zip(w, tn)) > c * den:
-                ok = False
-                break
-        if not ok:
+        if any(sum(wi * ti for wi, ti in zip(w, tn)) > c * den for w, c in proj_ineq):
+            infeasible += 1
             continue
         x = tuple(
             x0[i] + sum(t[j] * basis[j][i] for j in range(m)) for i in range(p.num_vars)
@@ -372,7 +456,10 @@ def solve(p: PLProgram) -> PLSolution:
             argmins[x] = None
     if best is None:
         raise InfeasibleError("no intersection point satisfies all constraints")
-    return PLSolution(best, tuple(sorted(argmins)), examined)
+    return PLSolution(
+        best, tuple(sorted(argmins)), planes=len(planes), subsets=subsets,
+        singular=singular, infeasible=infeasible, feasible=subsets - singular - infeasible,
+    )
 
 
 # -- feasible-point sampling oracle -------------------------------------------

@@ -1,8 +1,11 @@
 """Command-line surface: golden outputs, JSON mode, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,33 @@ def test_unbounded_program_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main(["minimize", "--spec-file", str(path)]) == 3
     capsys.readouterr()
+
+
+def test_oversized_program_exits_2_fast(tmp_path, capsys):
+    # 9 variables, a box and 42 cuts: C(60, 8) boundedness subsets
+    rng = random.Random(9)
+    rows = []
+    for i in range(9):
+        unit = [str(int(j == i)) for j in range(9)]
+        rows += [[v.replace("1", "-1") for v in unit] + ["0"], unit + ["1"]]
+    rows += [[str(rng.randint(-3, 3)) for _ in range(9)] + ["5"] for _ in range(42)]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"vars": 9, "le": rows, "obj": {"lin": ["1"] * 9}}))
+    start = time.perf_counter()
+    assert main(["minimize", "--spec-file", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "60 inequality planes in dimension m = 9 give 2558620845 subsets" in err
+
+
+def test_minimize_json_reports_solver_counts(capsys):
+    code, raw = run_cli(capsys, ["minimize", "--preset", "lemma_coh4", "--json"])
+    assert code == 0
+    out = json.loads(raw)["output"]
+    assert out["subsets"] == comb(out["planes"], 3)
+    assert out["subsets"] == out["singular"] + out["infeasible"] + out["feasible"]
+    assert out["candidates_examined"] == out["infeasible"] + out["feasible"]
+    assert out["feasible"] > 0 and out["infeasible"] > 0 and out["singular"] > 0
 
 
 def test_spec_file_solves_like_preset(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -38,6 +39,7 @@ B5_POINT = (
     Fraction(2, 5),
     Fraction(2, 5),
 )
+COH5_EDGE_POINT = (Fraction(0),) + (Fraction(1, 3),) * 3 + (Fraction(2, 5),) * 5
 
 
 def box_program(upper=1):
@@ -105,6 +107,59 @@ def test_unbounded_region_is_reported():
         solve(program(num_vars=2, inequalities=[([1, 0], 1)], objective_linear=[1, 1]))
 
 
+def test_recession_ray_found_through_a_subset_in_four_variables():
+    # u_i = x_i - w >= 0 for i < 3, u_1 + u_2 + u_3 <= 1, w >= 0: a simplex
+    # swept along (1, 1, 1, 1).  The normals span R^4, so only the null
+    # space of three of them exposes that ray, and it is the only one.
+    p = program(
+        num_vars=4,
+        inequalities=[
+            ([-1, 0, 0, 1], 0),
+            ([0, -1, 0, 1], 0),
+            ([0, 0, -1, 1], 0),
+            ([1, 1, 1, -3], 1),
+            ([0, 0, 0, -1], 0),
+        ],
+        objective_linear=[1, -1, 0, 0],
+    )
+    with pytest.raises(UnboundedError, match=r"recession ray \(1, 1, 1, 1\)"):
+        solve(p)
+
+
+def test_bounded_three_simplex_is_solved():
+    p = program(
+        num_vars=3,
+        inequalities=[([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0), ([1, 1, 1], 1)],
+        objective_linear=[1, -2, 1],
+        hinges=[(1, [0, 3, 0], 1)],
+    )
+    sol = solve(p)
+    assert sol.min_value == Fraction(-2, 3)
+    assert sol.argmin_points == ((0, Fraction(1, 3), 0),)
+
+
+def test_subset_limit_counts_only_enumerated_planes():
+    # 10 box rows and 40 hinges in 5 variables: as +1 hinges the planes give
+    # C(50, 5) > MAX_SUBSETS subsets, as -1 hinges only C(10, 5) = 252.
+    rng = random.Random(5)
+    box = []
+    for i in range(5):
+        box += [([-int(j == i) for j in range(5)], 0), ([int(j == i) for j in range(5)], 1)]
+    rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(40)]
+    for sign in (1, -1):
+        p = program(
+            num_vars=5,
+            inequalities=box,
+            objective_linear=[1, -1, 1, -1, 1],
+            hinges=[(sign, row, k % 3) for k, row in enumerate(rows)],
+        )
+        if sign > 0:
+            with pytest.raises(ValueError, match=r"50 distinct .* m = 5 give 2118760 subsets"):
+                solve(p)
+        else:
+            assert solve(p).subsets == 252
+
+
 def test_infeasible_region_is_reported():
     with pytest.raises(InfeasibleError):
         solve(
@@ -156,6 +211,12 @@ def test_published_minimizers_are_feasible():
     assert is_feasible(preset("lemma_coh4"), B4_POINT)
     assert is_feasible(preset("lemma_b5circ"), B5_POINT)
     assert is_feasible(preset("lemma_coh5"), B5_POINT)
+
+
+def test_coh5_argmins_are_the_two_published_points(preset_results):
+    _, sol, _ = preset_results["lemma_coh5"]
+    assert sol.min_value == Fraction(1, 5)
+    assert sol.argmin_points == (COH5_EDGE_POINT, B5_POINT)
 
 
 def test_quartic_presets_solve_to_one_quarter(preset_results):
@@ -334,3 +395,117 @@ def test_redundant_constraints_and_positive_scaling(random_program_factory):
         scaled_sol = solve(scaled)
         assert scaled_sol.min_value == lam * sol.min_value
         assert scaled_sol.argmin_points == sol.argmin_points
+
+
+# -- the concavity shortcut against the full arrangement -----------------------------
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+        if rows[0][j]
+    )
+
+
+def _null_generator(rows, n):
+    """Signed maximal minors of n - 1 rows: spans their null space, or is 0."""
+    return [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows]) for j in range(n)]
+
+
+def _full_arrangement_minimum(p):
+    """Brute force over every vertex of the full arrangement.
+
+    Enumerates n-subsets of the inequality planes and of every hinge
+    breakpoint plane, -1 hinges included, solving each by Cramer's rule.
+    The region is unbounded when the recession cone {d : A d <= 0} holds
+    a nonzero d: a line when no n - 1 normals are independent, otherwise
+    a ray spanned by the null generator of some n - 1 of them.  Plane
+    coefficients must be integers, as ``make_random_program`` draws them.
+    """
+    n = p.num_vars
+
+    def integral(a, b):  # a . x <= b scaled to integers
+        return [int(v) * b.denominator for v in a], b.numerator
+
+    ineq = [integral(a, b) for a, b in p.inequalities]
+    normals = [a for a, _ in ineq if any(a)]
+    generators = [_null_generator(list(s), n) for s in combinations(normals, n - 1)]
+    nonzero = [d for d in generators if any(d)]
+    if not nonzero:
+        raise UnboundedError("line")
+    for d in nonzero:
+        for ray in (d, [-v for v in d]):
+            if all(sum(a_i * r_i for a_i, r_i in zip(a, ray)) <= 0 for a in normals):
+                raise UnboundedError("ray")
+    planes = ineq + [integral(h.coeffs, h.rhs) for h in p.hinges]
+    planes = [(a, b) for a, b in planes if any(a)]
+    values = {}
+    for subset in combinations(planes, n):
+        den = _det([a for a, _ in subset])
+        if den == 0:
+            continue
+        num = [_det([a[:j] + [b] + a[j + 1 :] for a, b in subset]) for j in range(n)]
+        if den < 0:
+            den, num = -den, [-v for v in num]
+        if all(sum(a_i * v for a_i, v in zip(a, num)) <= b * den for a, b in ineq):
+            x = tuple(Fraction(v, den) for v in num)
+            value = p.objective_const + sum(c * x_i for c, x_i in zip(p.objective_linear, x))
+            for h in p.hinges:
+                excess = sum(c * x_i for c, x_i in zip(h.coeffs, x)) - h.rhs
+                value += h.sign * max(excess, 0)
+            values[x] = value
+    if not values:
+        raise InfeasibleError("no vertex")
+    low = min(values.values())
+    return low, {x for x, v in values.items() if v == low}
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except (InfeasibleError, UnboundedError) as exc:
+        return type(exc)
+
+
+def test_reduced_arrangement_matches_full_arrangement(random_program_factory):
+    """Dropping the -1 breakpoint planes keeps the minimum and the errors.
+
+    Each random program is compared as drawn, and once more either with
+    one box row dropped (often unbounded) or with a cut past its box
+    (infeasible).  The solver's argmins must be brute-force argmins.
+    """
+    rng = random.Random(20261018)
+    tally = {"mixed": 0, InfeasibleError: 0, UnboundedError: 0}
+    for i in range(3000):
+        p = random_program_factory(rng)
+        signs = {h.sign for h in p.hinges}
+        tally["mixed"] += signs == {1, -1}
+        n = p.num_vars
+        rows = [(a, b) for a, b in p.inequalities]
+        j = rng.randrange(n)
+        if i % 2:
+            del rows[2 * j + rng.randrange(2)]
+        else:
+            rows.append(([-int(k == j) for k in range(n)], -rows[2 * j + 1][1] - 1))
+        variant = program(
+            num_vars=n,
+            inequalities=rows,
+            objective_linear=p.objective_linear,
+            objective_const=p.objective_const,
+            hinges=[(h.sign, h.coeffs, h.rhs) for h in p.hinges],
+        )
+        for q in (p, variant):
+            got = _outcome(solve, q)
+            want = _outcome(_full_arrangement_minimum, q)
+            if isinstance(want, tuple):
+                assert got.min_value == want[0]
+                assert got.argmin_points and set(got.argmin_points) <= want[1]
+            else:
+                assert got is want
+                tally[want] += 1
+    assert tally["mixed"] > 200
+    assert tally[InfeasibleError] > 500 and tally[UnboundedError] > 300
