@@ -11,89 +11,10 @@ Five layers, bottom up:
   * ``plmin``     -- exact piecewise-linear minimization over polytopes
 
 plus a ``cecalc`` command-line tool (module ``cli``).
-"""
 
-from .gring import GradedPoly, RingSpec
-from .bundles import (
-    BaseChar,
-    BundleChar,
-    FiberClass,
-    ZetaChar,
-    ZetaClass,
-    ZetaRing,
-    adams,
-    chern_from_parts,
-    chern_of,
-    det,
-    dual,
-    gamma_pullback,
-    grr_push_pi,
-    line_bundle,
-    o_z,
-    push_gamma,
-    push_pi,
-    sym2,
-    sym3,
-    tensor,
-    twist_z,
-    twist_zeta,
-    wedge2,
-    zeta_twisted_ch,
-)
-from .hurwitz import (
-    CESetup,
-    KappaResult,
-    ce_rank,
-    ce_setup,
-    curve_class,
-    kappa,
-    kappa_value,
-    presentation,
-    zeta_ring,
-)
-from .splitting import (
-    QuarticConstraints,
-    QuinticConstraints,
-    SplittingType,
-    StratumRecord,
-    balanced_type,
-    codim_hurwitz4,
-    codim_hurwitz5,
-    codim_simultaneous,
-    constraints_4,
-    constraints_5,
-    det_type,
-    dual_type,
-    end_type,
-    enumerate_strata4,
-    factoring_codim,
-    h0,
-    h1,
-    hom_type,
-    negative_summand_count5,
-    sym2_type,
-    sym3_type,
-    tensor_type,
-    twist_type,
-    wedge2_type,
-)
-from .plmin import (
-    Hinge,
-    InfeasibleError,
-    PLProgram,
-    PLSolution,
-    SamplingError,
-    UnboundedError,
-    bound,
-    is_feasible,
-    objective_value,
-    preset,
-    preset_solution,
-    program,
-    program_from_json,
-    program_to_json,
-    sample_check,
-    solve,
-)
+The package root exports nothing but ``__version__``: import the layer you
+need, e.g. ``from cecalc import hurwitz`` or ``from cecalc.plmin import
+solve``, so that a program loads only the layers it uses.
+"""
 
 __version__ = "1.0.0"

@@ -83,6 +83,8 @@ class FiberClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "FiberClass":
+        if exponent < 0:
+            raise ValueError("negative powers are not defined")
         result = FiberClass.const(self.ring, 1)
         for _ in range(exponent):
             result = result * self
@@ -526,6 +528,8 @@ class ZetaClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "ZetaClass":
+        if exponent < 0:
+            raise ValueError("negative powers are not defined")
         result = self.zring.const(1)
         for _ in range(exponent):
             result = result * self

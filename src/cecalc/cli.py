@@ -6,6 +6,8 @@ are exact "p/q" strings.  Identical inputs give byte-identical output.
 
 Exit codes: 0 success, 2 invalid arguments, 3 mathematically infeasible or
 unbounded program, 1 any other computation failure.
+
+Each handler imports the layers it uses, so a command loads only those.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
-
-from . import hurwitz, plmin, splitting
 
 # Stable identifiers for the formula each number comes from; the README's
 # "formula register" section spells out what each one computes.
@@ -58,13 +58,13 @@ def _point_text(point: Sequence[Fraction]) -> str:
 
 
 def _cmd_kappa(args: argparse.Namespace) -> int:
+    from . import hurwitz
+
     genus = None if args.symbolic else args.genus
     if not args.symbolic and genus is None:
         raise ValueError("provide --genus G or --symbolic")
     truncation = args.truncation or (args.index + args.k + 2)
-    setup = hurwitz.ce_setup(args.k, genus, truncation)
-    result = hurwitz.kappa(setup, args.index)
-    poly = result.polynomial
+    poly = hurwitz.kappa_value(args.k, args.index, genus, truncation)
     inputs = {
         "k": args.k,
         "i": args.index,
@@ -81,11 +81,15 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve_class(args: argparse.Namespace) -> int:
+    from . import hurwitz
+
     genus = None if args.symbolic else args.genus
     if not args.symbolic and genus is None:
         raise ValueError("provide --genus G or --symbolic")
     truncation = args.truncation or (args.k + 2)
-    setup = hurwitz.ce_setup(args.k, genus, truncation)
+    # [C] has degree k-2 and the zeta relation needs truncation > k-1, so
+    # truncation k holds it; a smaller one raises the setup's own error.
+    setup = hurwitz.ce_setup(args.k, genus, min(truncation, args.k))
     c_class = hurwitz.curve_class(setup)
     inputs = {
         "k": args.k,
@@ -105,6 +109,8 @@ def _cmd_curve_class(args: argparse.Namespace) -> int:
 
 
 def _cmd_strata(args: argparse.Namespace) -> int:
+    from . import splitting
+
     if args.k != 4:
         raise ValueError("strata enumeration is implemented for k = 4 only")
     records = splitting.enumerate_strata4(args.genus, args.filter)
@@ -137,6 +143,8 @@ def _cmd_strata(args: argparse.Namespace) -> int:
 
 
 def _cmd_splitting_codim(args: argparse.Namespace) -> int:
+    from . import splitting
+
     e = splitting.SplittingType.parse(args.e)
     f = splitting.SplittingType.parse(args.f)
     if args.k == 4:
@@ -161,6 +169,8 @@ def _cmd_splitting_codim(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
+    from . import plmin
+
     if bool(args.preset) == bool(args.spec_file):
         raise ValueError("provide exactly one of --preset or --spec-file")
     if args.preset:
@@ -192,6 +202,8 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from . import plmin
+
     value = plmin.bound(args.k, args.genus, args.case)
     inputs = {"k": args.k, "genus": args.genus, "case": args.case}
     _emit(
@@ -203,6 +215,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_presentation(args: argparse.Namespace) -> int:
+    from . import hurwitz
+
     generators, degree_bound = hurwitz.presentation(args.k, args.genus)
     inputs = {"k": args.k, "genus": args.genus}
     output = {
@@ -222,6 +236,8 @@ def _cmd_presentation(args: argparse.Namespace) -> int:
 
 
 def _cmd_ce_rank(args: argparse.Namespace) -> int:
+    from . import hurwitz
+
     rank = hurwitz.ce_rank(args.index, args.k)
     inputs = {"k": args.k, "i": args.index}
     _emit(
@@ -244,8 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON document")
+
+    def add_truncation(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--truncation", type=int, default=None, help="ring truncation order"
+            "--truncation",
+            type=int,
+            default=None,
+            help="ring truncation order: a checked lower bound, the output does not depend on it",
         )
 
     p = sub.add_parser("kappa", help="kappa class in the cover-class generators")
@@ -254,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--genus", type=int)
     p.add_argument("--symbolic", action="store_true", help="keep the genus symbolic")
     add_common(p)
+    add_truncation(p)
     p.set_defaults(handler=_cmd_kappa)
 
     p = sub.add_parser("curve-class", help="universal curve class in P(E^v)")
@@ -261,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--genus", type=int)
     p.add_argument("--symbolic", action="store_true")
     add_common(p)
+    add_truncation(p)
     p.set_defaults(handler=_cmd_curve_class)
 
     p = sub.add_parser("strata", help="degree-4 splitting strata table")
@@ -281,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_splitting_codim)
 
     p = sub.add_parser("minimize", help="solve a piecewise-linear program exactly")
-    p.add_argument("--preset", choices=plmin.PRESET_NAMES)
+    # Checked by plmin.preset, so that parsing does not load the solver.
+    p.add_argument("--preset", help="name of a bundled program, e.g. lemma_b4")
     p.add_argument("--spec-file", help="JSON problem description")
     add_common(p)
     p.set_defaults(handler=_cmd_minimize)
@@ -308,12 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _no_solution_errors() -> tuple:
+    """plmin's infeasible and unbounded errors, once a command has loaded it."""
+    plmin = sys.modules.get(f"{__package__}.plmin")
+    return (plmin.InfeasibleError, plmin.UnboundedError) if plmin else ()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (plmin.InfeasibleError, plmin.UnboundedError) as exc:
+    except _no_solution_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

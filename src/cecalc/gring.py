@@ -96,8 +96,9 @@ class GradedPoly:
 
     Construction normalizes: coefficients are coerced to Fraction, zero
     terms are dropped and monomials at or above the truncation order are
-    discarded.  Instances are immutable in practice (the term map is never
-    mutated after construction).
+    discarded.  Arithmetic results skip that pass (see ``_trusted``): their
+    terms are built normalized.  Instances are immutable in practice (the
+    term map is never mutated after construction).
     """
 
     __slots__ = ("ring", "terms")
@@ -144,38 +145,45 @@ class GradedPoly:
     # -- arithmetic ------------------------------------------------------
 
     def _check_ring(self, other: "GradedPoly") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring mismatch between operands")
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_ring(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return GradedPoly(self.ring, out)
+            c = out.pop(exps, None)
+            c = coeff if c is None else c + coeff
+            if c:
+                out[exps] = c
+        return _trusted(self.ring, out)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
 
     def __mul__(self, other: Union["GradedPoly", Scalar]) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
-            return GradedPoly(self.ring, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return _trusted(self.ring, {})
+            return _trusted(self.ring, {e: c * other for e, c in self.terms.items()})
         self._check_ring(other)
         ring = self.ring
         bound = ring.truncation
         wdeg = ring.weighted_degree
+        right = [(wdeg(e), e, c) for e, c in other.terms.items()]
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
-            d1 = wdeg(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + wdeg(e2) >= bound:
+            room = bound - wdeg(e1)
+            for d2, e2, c2 in right:
+                if d2 >= room:
                     continue
                 key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return GradedPoly(ring, out)
+                c = out.get(key)
+                out[key] = c1 * c2 if c is None else c + c1 * c2
+        return _trusted(ring, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -271,3 +279,12 @@ class GradedPoly:
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.text()})"
+
+
+def _trusted(ring: RingSpec, terms: dict[Exponents, Fraction]) -> GradedPoly:
+    """Wrap a term map that is already normalized: Fraction coefficients,
+    none zero, every monomial of the right length and below the truncation."""
+    poly = object.__new__(GradedPoly)
+    poly.ring = ring
+    poly.terms = terms
+    return poly

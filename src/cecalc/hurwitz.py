@@ -228,12 +228,17 @@ def kappa(setup: CESetup, i: int) -> KappaResult:
 
 
 def kappa_value(k: int, i: int, genus: Union[int, None], truncation: Optional[int] = None) -> GradedPoly:
-    """Convenience wrapper: build a setup and return the kappa_i polynomial.
+    """Build a setup and return the kappa_i polynomial in the truncation-T ring.
 
-    Default truncation is i + k + 2: the smallest budget that provably
-    suffices, plus slack so the truncation-independence property can bite.
+    Default T is i + k + 2.  kappa_i is homogeneous of degree i and every
+    class it is computed from is homogeneous, so it is computed at the
+    smallest truncation that holds it, i + k, and lifted back to the T ring.
+    A T below that minimum is passed on as it is and raises kappa's error.
     """
     if truncation is None:
         truncation = i + k + 2
-    setup = ce_setup(k, genus, truncation)
-    return kappa(setup, i).polynomial
+    # The floor of 2 keeps a negative index on kappa's own error.
+    setup = ce_setup(k, genus, min(truncation, max(i + k, 2)))
+    poly = kappa(setup, i).polynomial
+    ring = setup.ring
+    return poly.retruncate(RingSpec(list(zip(ring.names, ring.degrees)), truncation))

@@ -278,6 +278,17 @@ def test_push_gamma_of_zeta_rank_for_rank2_dual():
     assert push_gamma(zr.zeta_power(2)) == chern_of(e)[0]
 
 
+def test_negative_powers_are_errors():
+    ring = quartic_like_ring()
+    zr = ZetaRing(rank3_bundle(ring))
+    with pytest.raises(ValueError, match="negative"):
+        FiberClass.z(ring) ** -1
+    with pytest.raises(ValueError, match="negative"):
+        zr.zeta_power(1) ** -2
+    assert FiberClass.z(ring) ** 0 == FiberClass.const(ring, 1)
+    assert zr.zeta_power(1) ** 0 == zr.const(1)
+
+
 def test_zeta_ring_requires_room_for_the_relation():
     ring = RingSpec([("c2", 2), ("a1", 1)], 3)
     e = chern_from_parts(ring, [(ring.gen("a1"), ring.const(1))], 3)

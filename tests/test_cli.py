@@ -79,6 +79,37 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ce-rank", "-k", "5", "-i", "2"],
+        ["presentation", "-k", "4", "-g", "6"],
+        ["strata", "-k", "4", "-g", "6"],
+        ["splitting-codim", "-k", "4", "--e", "1,4,4", "--f", "2,7"],
+        ["minimize", "--preset", "lemma_b4"],
+        ["bound", "-k", "4", "-g", "10", "--case", "B_circ"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_truncation_is_rejected_where_nothing_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--truncation", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --truncation 9" in capsys.readouterr().err
+
+
+def test_truncation_is_echoed_and_does_not_change_the_output(capsys):
+    _, plain = run_cli(capsys, ["kappa", "-k", "4", "-i", "2", "--genus", "9", "--json"])
+    _, wide = run_cli(
+        capsys, ["kappa", "-k", "4", "-i", "2", "--genus", "9", "--json", "--truncation", "11"]
+    )
+    plain, wide = json.loads(plain), json.loads(wide)
+    assert plain["inputs"]["truncation"] == 8 and wide["inputs"]["truncation"] == 11
+    assert plain["output"] == wide["output"]
+    assert main(["kappa", "-k", "4", "-i", "2", "--genus", "9", "--truncation", "5"]) == 2
+    assert "truncation 5 too small for kappa_2 at degree 4 (needs > 5)" in capsys.readouterr().err
+
+
 def test_infeasible_program_exits_3(tmp_path, capsys):
     spec = {
         "vars": 1,
@@ -145,3 +176,53 @@ def test_console_entry_point_via_module():
     )
     assert proc.returncode == 0
     assert proc.stdout == "rank(F_2) = 5\n"
+
+
+# -- start-up: each command loads only the layers it runs ------------------------
+
+_LAUNCH = """
+import sys
+from cecalc.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("cecalc."))))
+sys.exit(code)
+"""
+
+
+def launch(argv):
+    """Run the command in a fresh interpreter: (exit code, loaded cecalc modules, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, *argv], capture_output=True, text=True
+    )
+    return proc.returncode, set(proc.stdout.splitlines()[-1].split()), proc.stderr
+
+
+def test_kappa_launch_loads_no_solver_and_no_splitting():
+    code, loaded, _ = launch(["kappa", "-k", "4", "-i", "1", "--genus", "7"])
+    assert code == 0
+    assert {"cecalc.gring", "cecalc.bundles", "cecalc.hurwitz"} <= loaded
+    assert not loaded & {"cecalc.plmin", "cecalc.splitting"}
+
+
+def test_minimize_launch_loads_no_class_calculus():
+    code, loaded, _ = launch(["minimize", "--preset", "lemma_b4"])
+    assert code == 0
+    assert "cecalc.plmin" in loaded
+    assert not loaded & {"cecalc.hurwitz", "cecalc.bundles"}
+
+
+def test_fresh_launch_exit_codes_for_bad_and_unsolvable_programs(tmp_path):
+    code, _, err = launch(["minimize", "--preset", "no_such_program"])
+    assert code == 2
+    assert "unknown preset 'no_such_program'" in err
+    infeasible = {"vars": 1, "le": [["1", "0"], ["-1", "-1"]], "obj": {"lin": ["1"]}}
+    unbounded = {"vars": 1, "le": [["-1", "0"]], "obj": {"lin": ["1"]}}
+    for name, spec in (("infeasible", infeasible), ("unbounded", unbounded)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = launch(["minimize", "--spec-file", str(path)])
+        assert code == 3, err
+        assert err.startswith("error: ")

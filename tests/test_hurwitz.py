@@ -127,6 +127,47 @@ def test_kappa_is_truncation_independent(k, i):
     assert hi.retruncate(lo.ring) == lo
 
 
+# The (k, i) cells the benchmark's classes workload runs.
+BENCH_CELLS = [(k, i) for k in (3, 4, 5) for i in range(6) if (k, i) not in ((5, 4), (5, 5))]
+
+
+@pytest.mark.parametrize("k,i", BENCH_CELLS)
+def test_kappa_value_matches_the_full_ring(k, i):
+    # kappa_value computes at truncation i + k and lifts; the reference runs
+    # the whole pipeline in the truncation-T ring.
+    for truncation in (i + k + 2, i + k + 4):
+        full = kappa(ce_setup(k, 23, truncation), i).polynomial
+        assert kappa_value(k, i, 23, truncation) == full
+
+
+@pytest.mark.parametrize("k,i", [(3, 3), (4, 2), (5, 1), (5, 2)])
+def test_symbolic_kappa_value_matches_the_full_ring(k, i):
+    for truncation in (i + k + 2, i + k + 4):
+        full = kappa(ce_setup(k, None, truncation), i).polynomial
+        assert kappa_value(k, i, None, truncation) == full
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("genus", [None, 13])
+def test_curve_class_at_the_smallest_truncation_matches_a_larger_one(k, genus):
+    lo = curve_class(ce_setup(k, genus, k))
+    hi = curve_class(ce_setup(k, genus, k + 2))
+    ring = hi.zring.ring
+    for a, b in zip(lo.coeffs, hi.coeffs, strict=True):
+        assert a.base.retruncate(ring) == b.base
+        assert a.zpart.retruncate(ring) == b.zpart
+        assert a.text() == b.text()
+
+
+def test_kappa_value_rejects_too_small_truncation_like_kappa():
+    with pytest.raises(ValueError, match=r"truncation 4 too small for kappa_1 at degree 4 \(needs > 4\)"):
+        kappa_value(4, 1, 6, truncation=4)
+    with pytest.raises(ValueError, match="truncation must be >= 2, got 1"):
+        kappa_value(3, 0, 6, truncation=1)
+    with pytest.raises(ValueError, match="kappa index must be >= 0"):
+        kappa_value(3, -1, 6)
+
+
 def test_kappa_rejects_too_small_truncation():
     s = ce_setup(4, genus=6, truncation=4)
     with pytest.raises(ValueError, match="truncation"):

@@ -1,0 +1,37 @@
+"""Source-level guards: the library computes in exact arithmetic only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "cecalc").glob("*.py"))
+
+
+def inexact_nodes(tree):
+    """Float or complex literals, and calls to float() or complex()."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            yield node
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "complex")
+        ):
+            yield node
+
+
+def test_sources_are_found():
+    assert {"gring.py", "hurwitz.py", "plmin.py"} <= {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_in_the_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}" for node in inexact_nodes(tree)]
+    assert not found, f"inexact arithmetic at {', '.join(found)}"
+
+
+def test_the_guard_sees_floats():
+    code = "x = 1.5\ny = float(2)\nz = 3\nw = 2j\n"
+    assert [node.lineno for node in inexact_nodes(ast.parse(code))] == [1, 2, 4]
