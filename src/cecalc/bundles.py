@@ -13,10 +13,10 @@ Three spaces appear, stacked over a base B whose Chow ring is a truncated
     c_r(E^v)); elements are ``ZetaClass`` values kept eagerly reduced, so
     the pushforward gamma_* reads off the zeta^{r-1} coefficient.
 
-Vector bundles are carried around as Chern characters (``BundleChar`` on P,
-``BaseChar`` on B): rank plus graded pieces.  Chern classes are views,
-converted to and from characters by Newton's identities.  Tensor, dual,
-Adams, Sym^2/Sym^3 and wedge^2 are all character-level formulas.
+Vector bundles on P are carried around as Chern characters (``BundleChar``):
+rank plus graded pieces.  Chern classes are views, converted to and from
+characters by Newton's identities.  Tensor, dual, det, Adams, Sym^2 and
+wedge^2 are all character-level formulas.
 """
 
 from __future__ import annotations
@@ -293,11 +293,6 @@ def det(b: BundleChar) -> BundleChar:
     return line_bundle(b.ring, b.ch(1))
 
 
-def twist_z(b: BundleChar, n: int) -> BundleChar:
-    """Tensor with O(n z) on P."""
-    return tensor(b, o_z(b.ring, n))
-
-
 def adams(b: BundleChar, k: int) -> BundleChar:
     """Adams operation psi^k: scales the degree-d piece by k^d."""
     if k < 1:
@@ -329,94 +324,6 @@ def wedge2(b: BundleChar) -> BundleChar:
     half = Fraction(1, 2)
     rank = b.rank * (b.rank - 1) // 2
     return _combine([(half, tensor(b, b)), (-half, adams(b, 2))], rank)
-
-
-def sym3(b: BundleChar) -> BundleChar:
-    """Sym^3 via (ch^3 + 3 psi^2 ch + 2 psi^3) / 6."""
-    rank = b.rank * (b.rank + 1) * (b.rank + 2) // 6
-    cube = tensor(tensor(b, b), b)
-    mixed = tensor(adams(b, 2), b)
-    return _combine(
-        [(Fraction(1, 6), cube), (Fraction(1, 2), mixed), (Fraction(1, 3), adams(b, 3))],
-        rank,
-    )
-
-
-# -- Grothendieck-Riemann-Roch along pi ------------------------------------
-
-
-def todd_coefficients(order: int) -> list[Fraction]:
-    """Coefficients of x / (1 - e^{-x}) up to x^order, by series inversion."""
-    # (1 - e^{-x}) / x  =  sum_n (-1)^n x^n / (n+1)!
-    s = [Fraction((-1) ** n, factorial(n + 1)) for n in range(order + 1)]
-    t = [Fraction(1)]
-    for n in range(1, order + 1):
-        t.append(-sum(s[j] * t[n - j] for j in range(1, n + 1)))
-    return t
-
-
-def todd_of_fiber(ring: RingSpec) -> FiberClass:
-    """Todd class of the relative tangent bundle of pi, whose c_1 is 2z."""
-    coeffs = todd_coefficients(ring.truncation - 1)
-    two_z = FiberClass.z(ring) * 2
-    acc = FiberClass.const(ring, coeffs[0])
-    power = FiberClass.const(ring, 1)
-    for n in range(1, len(coeffs)):
-        power = power * two_z
-        acc = acc + power * coeffs[n]
-    return acc
-
-
-class BaseChar:
-    """Character of a virtual bundle on the base B: pieces[d] = ch_d."""
-
-    __slots__ = ("ring", "pieces")
-
-    def __init__(self, ring: RingSpec, pieces: Sequence[GradedPoly]):
-        if len(pieces) != ring.truncation:
-            raise ValueError(f"need {ring.truncation} pieces, got {len(pieces)}")
-        self.ring = ring
-        self.pieces = tuple(pieces)
-
-    @property
-    def rank_poly(self) -> GradedPoly:
-        return self.pieces[0]
-
-    def rank_value(self) -> Fraction:
-        """The rank as a number (requires a constant degree-0 piece)."""
-        return self.pieces[0].constant_value()
-
-    def __add__(self, other: "BaseChar") -> "BaseChar":
-        return BaseChar(self.ring, [a + b for a, b in zip(self.pieces, other.pieces)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BaseChar):
-            return NotImplemented
-        return self.pieces == other.pieces
-
-    __hash__ = None
-
-
-def grr_push_pi(b: BundleChar) -> BaseChar:
-    """ch(pi_! b) = pi_*(ch(b) . td(T_pi)), as a character on the base.
-
-    The caller is responsible for R^1 pi_* vanishing if the result is to be
-    read as an honest bundle; this computes the K-theoretic pushforward
-    either way.
-    """
-    ring = b.ring
-    td = todd_of_fiber(ring)
-    total = FiberClass.const(ring, b.rank)
-    for piece in b.pieces:
-        total = total + piece
-    product = total * td
-    pieces = []
-    for d in range(ring.truncation):
-        if d + 1 < ring.truncation:
-            pieces.append(push_pi(product.degree_part(d + 1)))
-        else:
-            pieces.append(ring.zero())
-    return BaseChar(ring, pieces)
 
 
 # -- the projective sub-bundle P(E^v) over P --------------------------------
@@ -563,63 +470,6 @@ class ZetaClass:
 def push_gamma(c: ZetaClass) -> FiberClass:
     """gamma_* of a reduced class: the zeta^{r-1} coefficient."""
     return c.coeffs[-1]
-
-
-class ZetaChar:
-    """Character of a bundle on P(E^v): rank plus ZetaClass pieces ch_1.."""
-
-    __slots__ = ("zring", "rank", "pieces")
-
-    def __init__(self, zring: ZetaRing, rank: int, pieces: Sequence[ZetaClass]):
-        want = zring.ring.truncation - 1
-        pieces = list(pieces)
-        if len(pieces) != want:
-            raise ValueError(f"need {want} character pieces, got {len(pieces)}")
-        self.zring = zring
-        self.rank = int(rank)
-        self.pieces = tuple(pieces)
-
-    def ch(self, degree: int) -> ZetaClass:
-        if degree == 0:
-            return self.zring.const(self.rank)
-        return self.pieces[degree - 1]
-
-    def __add__(self, other: "ZetaChar") -> "ZetaChar":
-        return ZetaChar(
-            self.zring,
-            self.rank + other.rank,
-            [a + b for a, b in zip(self.pieces, other.pieces)],
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZetaChar):
-            return NotImplemented
-        return self.rank == other.rank and self.pieces == other.pieces
-
-    __hash__ = None
-
-
-def gamma_pullback(b: BundleChar, zring: ZetaRing) -> ZetaChar:
-    """gamma^* of a character on P: the pieces acquire zeta-degree zero."""
-    if b.ring != zring.ring:
-        raise ValueError("character and zeta ring live over different bases")
-    return ZetaChar(zring, b.rank, [zring.of_fiber(piece) for piece in b.pieces])
-
-
-def twist_zeta(zc: ZetaChar, n: int) -> ZetaChar:
-    """Tensor a character on P(E^v) with O(n zeta)."""
-    zring = zc.zring
-    top = zring.ring.truncation - 1
-    pieces = []
-    for d in range(1, top + 1):
-        acc = zring.zero()
-        for j in range(d + 1):
-            scale = Fraction(n ** (d - j), factorial(d - j))
-            if scale == 0:
-                continue
-            acc = acc + zring.zeta_power(d - j) * zc.ch(j) * scale
-        pieces.append(acc)
-    return ZetaChar(zring, zc.rank, pieces)
 
 
 def zeta_twisted_ch(b: BundleChar, n: int, degree: int, zring: ZetaRing) -> ZetaClass:

@@ -13,7 +13,6 @@ Each handler imports the layers it uses, so a command loads only those.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,6 +43,8 @@ def _result(command: str, inputs: dict, output: dict, citations: list[str]) -> d
 
 def _emit(result: dict, lines: list[str], as_json: bool) -> None:
     if as_json:
+        import json
+
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -177,6 +178,8 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         prog = plmin.preset(args.preset)
         source = args.preset
     else:
+        import json
+
         with open(args.spec_file) as fh:
             prog = plmin.program_from_json(json.load(fh))
         source = args.spec_file

@@ -123,17 +123,6 @@ class GradedPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of the empty monomial (requires is_constant)."""
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self.text()}")
-        if not self.terms:
-            return Fraction(0)
-        return next(iter(self.terms.values()))
-
     def max_degree(self) -> int:
         if not self.terms:
             return 0

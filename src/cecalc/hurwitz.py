@@ -21,10 +21,9 @@ of the resolution bundles, and the kappa classes are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .bundles import (
     BundleChar,
@@ -111,8 +110,7 @@ def presentation(k: int, genus: int) -> tuple[tuple[tuple[str, int], ...], int]:
     return _GENERATORS[k], genus + k
 
 
-@dataclass(frozen=True)
-class CESetup:
+class CESetup(NamedTuple):
     """A covering degree, its class ring, and the two bundle characters."""
 
     degree: int
@@ -199,8 +197,7 @@ def curve_class(setup: CESetup, zring: Optional[ZetaRing] = None) -> ZetaClass:
     return acc
 
 
-@dataclass(frozen=True)
-class KappaResult:
+class KappaResult(NamedTuple):
     """A kappa class expanded in the setup's generators."""
 
     index: int

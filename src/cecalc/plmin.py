@@ -22,6 +22,12 @@ a vertex of that intersection: a point where m independent boundary or
 Programs whose subset counts exceed ``MAX_SUBSETS`` are refused with
 ValueError before any enumeration starts.
 
+``sample_check`` is an independent certificate that the solver's minimum
+is not too high: a hit-and-run walk on a lattice in subspace coordinates,
+every point of which is feasible by construction.  It fails only before its
+first step, when no start is given and the subspace origin is infeasible,
+or at a chord with no end on one side, where the region is unbounded.
+
 Everything is Fraction/integer arithmetic; there is no floating point
 anywhere, so reported minima and argmin points are exact.
 """
@@ -29,12 +35,11 @@ anywhere, so reported minima and argmin points are exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -57,7 +62,7 @@ class UnboundedError(PLError):
 
 
 class SamplingError(PLError):
-    """Rejection sampling found no feasible point within its budget."""
+    """The sampling walk has no feasible start, or meets an unbounded chord."""
 
 
 def _vec(values: Iterable[Scalar], n: int, what: str) -> Vector:
@@ -67,8 +72,7 @@ def _vec(values: Iterable[Scalar], n: int, what: str) -> Vector:
     return out
 
 
-@dataclass(frozen=True)
-class Hinge:
+class Hinge(NamedTuple):
     """A term sign * max(0, coeffs . x - rhs); sign is +1 or -1."""
 
     sign: int
@@ -76,8 +80,7 @@ class Hinge:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class PLProgram:
+class PLProgram(NamedTuple):
     num_vars: int
     equalities: tuple[tuple[Vector, Fraction], ...]
     inequalities: tuple[tuple[Vector, Fraction], ...]  # coeffs . x <= rhs
@@ -108,8 +111,7 @@ def program(
     return PLProgram(num_vars, eqs, les, lin, Fraction(objective_const), tuple(hs))
 
 
-@dataclass(frozen=True)
-class PLSolution:
+class PLSolution(NamedTuple):
     min_value: Fraction
     # The minimising vertices of the reduced arrangement (boundary and +1
     # breakpoint hyperplanes), sorted lexicographically, deduplicated.  The
@@ -471,16 +473,23 @@ def sample_check(
     seed: int,
     center: Optional[Sequence[Scalar]] = None,
 ) -> Fraction:
-    """Minimum of the objective over rejection-sampled feasible points.
+    """Minimum of the objective over the points of a hit-and-run walk.
 
-    Points are drawn from boxes (in exact subspace coordinates) around a
-    feasible anchor and accepted only if they satisfy every constraint
-    exactly, so the returned value is a certified upper bound for the true
-    minimum: it can never undercut ``solve``.  ``center`` may supply a known
-    feasible point to anchor the boxes; it is validated first and, when
-    feasible, also counts as the first sample.  Feasibility and objective
-    evaluation run on integer-scaled subspace coordinates, so every
-    accepted value is exact.
+    The walk starts at ``center`` (validated first) or, without one, at the
+    origin of the subspace coordinates, and lives on the lattice (1/Q) Z^m
+    of those coordinates, Q being 64 times the lcm of the start's
+    denominators.  Each step picks a direction d uniformly from
+    {-1, 0, 1}^m minus 0, computes from the integer slacks of the projected
+    inequalities the chord of lattice points t + j d that stay feasible, and
+    moves to one of them chosen uniformly (j = 0 included).  Every point is
+    feasible by construction and exactly ``trials`` points are drawn, the
+    start being the first, so the returned value is a certified upper bound
+    for the true minimum: it can never undercut ``solve``.  Everything runs
+    on integers and every value is exact.
+
+    Raises SamplingError when no center is given and the origin violates an
+    inequality, or when a chord has no end on one side, since the region is
+    then unbounded (``solve`` raises UnboundedError for it).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -494,72 +503,54 @@ def sample_check(
                 raise SamplingError("region is empty on the equality subspace")
             continue
         ineq_rows.append((w, c))
-    # objective in subspace coordinates: value = const + (lw.t - lc)/lden + hinges
-    lw, lc, lden = _project_plane(p.objective_linear, Fraction(0), x0, basis)
-    hinge_rows = [
-        (h.sign, *_project_plane(h.coeffs, h.rhs, x0, basis)) for h in p.hinges
-    ]
 
-    def feasible_t(tn: Sequence[int], td: int) -> bool:
-        for w, c in ineq_rows:
-            if sum(wi * ti for wi, ti in zip(w, tn)) > c * td:
-                return False
-        return True
-
-    def value_at(tn: Sequence[int], td: int) -> Fraction:
-        value = p.objective_const + Fraction(
-            sum(wi * ti for wi, ti in zip(lw, tn)) - lc * td, lden * td
-        )
-        for sign, w, c, den in hinge_rows:
-            excess = sum(wi * ti for wi, ti in zip(w, tn)) - c * td
-            if excess > 0:
-                value += sign * Fraction(excess, den * td)
-        return value
-
-    def as_int_coords(t: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-        den = lcm(*(v.denominator for v in t)) if t else 1
-        return tuple(int(v * den) for v in t), den
-
-    anchors: list[tuple[tuple[int, ...], int]] = []
     if center is not None:
         cx = _vec(center, p.num_vars, "center")
         if not is_feasible(p, cx):
             raise ValueError("supplied center is not feasible")
-        anchors.append(as_int_coords(_coords_of(cx, x0, basis)))
-    zero_t = ((0,) * m, 1)
-    if feasible_t(*zero_t):
-        anchors.append(zero_t)
+        start = _coords_of(cx, x0, basis)
+    else:
+        start = (Fraction(0),) * m
+    q = 64 * lcm(1, *(v.denominator for v in start))
+    tn = [int(v * q) for v in start]
 
+    # slack c q - w . tn of each inequality w . t <= c, kept >= 0 along the walk
+    slack = [c * q - _dot(w, tn) for w, c in ineq_rows]
+    if any(s < 0 for s in slack):
+        raise SamplingError("the subspace origin violates an inequality; supply a feasible center")
+    lw, lc, lden = _project_plane(p.objective_linear, Fraction(0), x0, basis)
+    hinge_rows = [(h.sign, *_project_plane(h.coeffs, h.rhs, x0, basis)) for h in p.hinges]
+    scale = lcm(lden, *(den for *_, den in hinge_rows))
+
+    def numerator(tn: Sequence[int]) -> int:
+        """The objective at tn / q is const + numerator(tn) / (q * scale)."""
+        total = (_dot(lw, tn) - lc * q) * (scale // lden)
+        for sign, w, c, den in hinge_rows:
+            excess = _dot(w, tn) - c * q
+            if excess > 0:
+                total += sign * excess * (scale // den)
+        return total
+
+    best = numerator(tn)
     rng = random.Random(seed)
-    best: Optional[Fraction] = None
-    accepted = 0
-    if anchors:
-        best = value_at(*anchors[0])
-        accepted = 1
-    # radius ladder r = rn/rd; offsets are k * rn / (64 rd) with k in [-64, 64]
-    radii = ((2, 1), (1, 1), (1, 2), (1, 8))
-    budget = 400 * trials
-    attempts = 0
-    randint = rng.randint
-    while accepted < trials and attempts < budget:
-        attempts += 1
-        rn, rd = radii[rng.randrange(4)]
-        an, ad = anchors[rng.randrange(len(anchors))] if anchors else zero_t
-        od = 64 * rd
-        den = lcm(ad, od)
-        sa, so = den // ad, (den // od) * rn
-        tn = tuple(a * sa + randint(-64, 64) * so for a in an)
-        if not feasible_t(tn, den):
-            continue
-        accepted += 1
-        value = value_at(tn, den)
-        if best is None or value < best:
-            best = value
-        if len(anchors) < 8:
-            anchors.append((tn, den))
-    if best is None:
-        raise SamplingError(f"no feasible sample found in {budget} attempts")
-    return best
+    # with m = 0 the region is one point and every draw is the start
+    for _ in range(trials - 1 if m else 0):
+        code = rng.randrange(1, 3**m)  # 0 would be the zero direction
+        d = []
+        for _ in range(m):
+            code, digit = divmod(code, 3)
+            d.append((0, 1, -1)[digit])
+        steps = [_dot(w, d) for w, _ in ineq_rows]
+        ups = [s // a for s, a in zip(slack, steps) if a > 0]
+        downs = [-(s // -a) for s, a in zip(slack, steps) if a < 0]
+        if not ups or not downs:
+            ray = tuple(d) if not ups else tuple(-v for v in d)
+            raise SamplingError(f"region is unbounded along {ray} in subspace coordinates")
+        j = rng.randint(max(downs), min(ups))
+        tn = [t + j * v for t, v in zip(tn, d)]
+        slack = [s - j * a for s, a in zip(slack, steps)]
+        best = min(best, numerator(tn))
+    return p.objective_const + Fraction(best, q * scale)
 
 
 def _coords_of(x: Vector, x0: Vector, basis: list[Vector]) -> Vector:

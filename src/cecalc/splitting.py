@@ -17,9 +17,8 @@ reproduces the full stratum table of a given genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 TypeLike = Union["SplittingType", Sequence[int]]
 
@@ -94,10 +93,6 @@ def dual_type(t: TypeLike) -> SplittingType:
     return SplittingType(-e for e in _coerce(t))
 
 
-def det_type(t: TypeLike) -> SplittingType:
-    return SplittingType([_coerce(t).degree])
-
-
 def twist_type(t: TypeLike, n: int) -> SplittingType:
     return SplittingType(e + n for e in _coerce(t))
 
@@ -118,17 +113,6 @@ def end_type(t: TypeLike) -> SplittingType:
 def sym2_type(t: TypeLike) -> SplittingType:
     t = _coerce(t)
     return SplittingType(t[i] + t[j] for i in range(len(t)) for j in range(i, len(t)))
-
-
-def sym3_type(t: TypeLike) -> SplittingType:
-    t = _coerce(t)
-    n = len(t)
-    return SplittingType(
-        t[i] + t[j] + t[k]
-        for i in range(n)
-        for j in range(i, n)
-        for k in range(j, n)
-    )
 
 
 def wedge2_type(t: TypeLike) -> SplittingType:
@@ -198,8 +182,7 @@ def negative_summand_count5(e: TypeLike, f: TypeLike, genus: int) -> int:
 # -- constraint predicates ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuarticConstraints:
+class QuarticConstraints(NamedTuple):
     """Splitting-type tests for degree-4 covers.
 
     ``irreducible_ok`` bundles the constraints forced by an irreducible
@@ -252,8 +235,7 @@ def constraints_4(e: TypeLike, f: TypeLike) -> QuarticConstraints:
     )
 
 
-@dataclass(frozen=True)
-class QuinticConstraints:
+class QuinticConstraints(NamedTuple):
     """Splitting-type tests for degree-5 covers at a given genus.
 
     The three Pfaffian flags are necessary conditions for a cover, not
@@ -295,8 +277,7 @@ def constraints_5(e: TypeLike, f: TypeLike, genus: int) -> QuinticConstraints:
 # -- degree-4 strata enumeration ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(NamedTuple):
     e: SplittingType
     f: SplittingType
     codim: int

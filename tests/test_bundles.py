@@ -1,4 +1,4 @@
-"""Character calculus: conversions, tensor algebra, pushforwards, GRR."""
+"""Character calculus: conversions, tensor algebra, pushforwards."""
 
 import random
 from fractions import Fraction
@@ -15,21 +15,17 @@ from cecalc.bundles import (
     chern_of,
     det,
     dual,
-    grr_push_pi,
     line_bundle,
     o_z,
     push_gamma,
     push_pi,
     sym2,
-    sym3,
     tensor,
-    todd_coefficients,
-    twist_z,
     wedge2,
     zeta_twisted_ch,
 )
 from cecalc.gring import RingSpec
-from cecalc.splitting import SplittingType, sym2_type, sym3_type, tensor_type, wedge2_type
+from cecalc.splitting import SplittingType, sym2_type, tensor_type, wedge2_type
 
 
 def base_ring(truncation=6, extra=()):
@@ -180,56 +176,10 @@ def test_split_bundle_operations_match_summand_enumeration():
     b = split_char(ring, e.parts)
     assert sym2(b) == split_char(ring, sym2_type(e).parts)
     assert wedge2(b) == split_char(ring, wedge2_type(e).parts)
-    assert sym3(b) == split_char(ring, sym3_type(e).parts)
     f = SplittingType((1, -2))
     bf = split_char(ring, f.parts)
     assert tensor(b, bf) == split_char(ring, tensor_type(e, f).parts)
     assert dual(b) == split_char(ring, [-x for x in e.parts])
-
-
-# -- GRR along pi -------------------------------------------------------------
-
-
-def test_todd_series_coefficients():
-    assert todd_coefficients(4) == [
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(1, 12),
-        Fraction(0),
-        Fraction(-1, 720),
-    ]
-
-
-def test_grr_rank_of_line_bundles():
-    ring = base_ring()
-    for d in range(0, 4):
-        pushed = grr_push_pi(o_z(ring, d))
-        assert pushed.rank_value() == d + 1  # h^0(O(d)) on the fiber
-
-
-def test_grr_on_o_plus_o1_has_rank_three():
-    ring = base_ring()
-    b = split_char(ring, [0, 1])
-    assert grr_push_pi(b).rank_value() == 3
-
-
-def test_grr_is_additive():
-    ring = base_ring()
-    a = split_char(ring, [2, -1])
-    b = o_z(ring, 1)
-    assert grr_push_pi(a + b) == grr_push_pi(a) + grr_push_pi(b)
-
-
-def test_grr_rank_of_twist_recovers_relative_degree():
-    # rank pi_!(E(-z)) = a1' for ch_1(E) = a1 + a1' z
-    ring = base_ring(extra=[("a1", 1), ("a1'", 0), ("a2", 2), ("a2'", 1)])
-    parts = [
-        (ring.gen("a1"), ring.gen("a1'")),
-        (ring.gen("a2"), ring.gen("a2'")),
-    ]
-    e = chern_from_parts(ring, parts, 2)
-    pushed = grr_push_pi(twist_z(e, -1))
-    assert pushed.rank_poly == ring.gen("a1'")
 
 
 # -- the projective sub-bundle ------------------------------------------------
@@ -303,18 +253,3 @@ def test_zeta_twisted_ch_of_line_bundle_is_binomial():
     triv = BundleChar.trivial(ring, 1)
     got = zeta_twisted_ch(triv, 2, 2, zr)  # ch_2(O(2 zeta)) = 2 zeta^2
     assert got == zr.zeta_power(2) * 2
-
-
-def test_twist_zeta_matches_piecewise_twisting():
-    from cecalc.bundles import gamma_pullback, twist_zeta
-
-    ring = quartic_like_ring()
-    e = rank3_bundle(ring)
-    zr = ZetaRing(e)
-    pulled = gamma_pullback(e, zr)
-    twisted = twist_zeta(pulled, -2)
-    for d in range(ring.truncation):
-        assert twisted.ch(d) == zeta_twisted_ch(e, -2, d, zr)
-    # twisting by zero is the identity, and twists compose additively
-    assert twist_zeta(pulled, 0) == pulled
-    assert twist_zeta(twist_zeta(pulled, 1), 2) == twist_zeta(pulled, 3)

@@ -187,13 +187,19 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(" ".join(sorted(m for m in sys.modules if m.startswith("cecalc."))))
+watched = {"dataclasses", "json"}
+print(" ".join(sorted(m for m in sys.modules if m.startswith("cecalc.") or m in watched)))
 sys.exit(code)
 """
 
 
 def launch(argv):
-    """Run the command in a fresh interpreter: (exit code, loaded cecalc modules, stderr)."""
+    """Run the command in a fresh interpreter.
+
+    Returns (exit code, loaded modules, stderr); the loaded modules are the
+    cecalc layers plus ``dataclasses`` and ``json``, which no text command
+    needs.
+    """
     proc = subprocess.run(
         [sys.executable, "-c", _LAUNCH, *argv], capture_output=True, text=True
     )
@@ -205,6 +211,27 @@ def test_kappa_launch_loads_no_solver_and_no_splitting():
     assert code == 0
     assert {"cecalc.gring", "cecalc.bundles", "cecalc.hurwitz"} <= loaded
     assert not loaded & {"cecalc.plmin", "cecalc.splitting"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "-k", "4", "-i", "1", "--genus", "7"],
+        ["strata", "-k", "4", "-g", "6"],
+        ["minimize", "--preset", "lemma_b4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_text_launch_loads_no_dataclasses_and_no_json(argv):
+    code, loaded, _ = launch(argv)
+    assert code == 0
+    assert not loaded & {"dataclasses", "json"}
+
+
+def test_json_launch_loads_json():
+    code, loaded, _ = launch(["ce-rank", "-k", "5", "-i", "2", "--json"])
+    assert code == 0
+    assert "json" in loaded
 
 
 def test_minimize_launch_loads_no_class_calculus():

@@ -287,6 +287,51 @@ def test_sample_check_error_when_region_is_empty():
         sample_check(p, trials=10, seed=0)
 
 
+def test_sample_check_never_undercuts_random_programs(random_program_factory):
+    rng = random.Random(2718)
+    for _ in range(300):
+        p = random_program_factory(rng)
+        # the first 2n rows are the box 0 <= x_i <= hi_i; the cuts keep its midpoint
+        mid = [p.inequalities[2 * i + 1][1] / 2 for i in range(p.num_vars)]
+        value = sample_check(p, trials=200, seed=rng.randrange(2**31), center=mid)
+        assert value >= solve(p).min_value
+
+
+def test_sample_check_unbounded_region_raises():
+    p = program(num_vars=1, inequalities=[([-1], 0)], objective_linear=[1])  # x >= 0
+    with pytest.raises(SamplingError, match="unbounded"):
+        sample_check(p, trials=2, seed=0)
+
+
+def test_sample_check_without_center_needs_a_feasible_origin():
+    p = program(num_vars=1, inequalities=[([-1], -1), ([1], 2)], objective_linear=[1])
+    with pytest.raises(SamplingError, match="origin"):
+        sample_check(p, trials=10, seed=0)
+    assert 1 <= sample_check(p, trials=10, seed=0, center=[Fraction(3, 2)]) <= Fraction(3, 2)
+
+
+def test_sample_check_same_seed_same_value(preset_results):
+    p, _, _ = preset_results["lemma_coh4"]
+    first = sample_check(p, trials=300, seed=11, center=B4_POINT)
+    assert sample_check(p, trials=300, seed=11, center=B4_POINT) == first
+
+
+def test_sample_check_draws_the_start_first_then_walks():
+    p = box_program()
+    assert sample_check(p, trials=1, seed=3, center=[1]) == 1
+    assert 0 <= sample_check(p, trials=50, seed=3, center=[1]) < 1
+
+
+def test_sample_check_on_a_single_point_region():
+    p = program(
+        num_vars=2,
+        equalities=[([1, 0], Fraction(1, 3)), ([1, 1], 1)],
+        inequalities=[([1, 0], 1)],
+        objective_linear=[3, 1],
+    )
+    assert sample_check(p, trials=20, seed=0) == Fraction(5, 3)
+
+
 # -- random-program invariances ----------------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from cecalc.splitting import (
     negative_summand_count5,
     quintic_u_type,
     sym2_type,
-    sym3_type,
     tensor_type,
     twist_type,
     wedge2_type,
@@ -68,7 +67,6 @@ def test_constructors_sort_and_enumerate():
     assert sym2_type([2, 3, 4]).parts == (4, 5, 6, 6, 7, 8)
     assert h1(end_type([2, 3, 4])) == 1
     assert wedge2_type([1, 2, 3, 4, 5]).rank == 10
-    assert sym3_type([0, 1]).parts == (0, 1, 2, 3)
     assert tensor_type([1, 2], [0, 5]).parts == (1, 2, 6, 7)
     assert dual_type([1, 4]).parts == (-4, -1)
     assert twist_type([1, 4], -2).parts == (-1, 2)
