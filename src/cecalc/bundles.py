@@ -51,10 +51,6 @@ class FiberClass:
         return cls(ring.const(value), ring.zero())
 
     @classmethod
-    def of_poly(cls, poly: GradedPoly) -> "FiberClass":
-        return cls(poly, poly.ring.zero())
-
-    @classmethod
     def z(cls, ring: RingSpec) -> "FiberClass":
         return cls(ring.zero(), ring.one())
 

@@ -204,33 +204,6 @@ class GradedPoly:
             self.ring, {e: c for e, c in self.terms.items() if wdeg(e) == degree}
         )
 
-    def substitute(self, bindings: Mapping[str, Scalar]) -> "GradedPoly":
-        """Replace each bound generator by a rational constant.
-
-        Unbound generators are untouched; the result is re-collected (like
-        terms merged) and re-truncated.
-        """
-        ring = self.ring
-        idx = {}
-        for name, value in bindings.items():
-            if name not in ring._index:
-                raise ValueError(f"unknown generator {name!r}")
-            idx[ring._index[name]] = Fraction(value)
-        if not idx:
-            return self
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            c = coeff
-            new = list(exps)
-            for i, value in idx.items():
-                c *= value ** exps[i]
-                new[i] = 0
-            if c == 0:
-                continue
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + c
-        return GradedPoly(ring, out)
-
     def retruncate(self, ring: RingSpec) -> "GradedPoly":
         """Reinterpret in another ring with the same generators (other D)."""
         if ring.names != self.ring.names or ring.degrees != self.ring.degrees:

@@ -9,27 +9,30 @@ so its minimum over the polytope intersected with that cell is attained at
 a vertex of that intersection: a point where m independent boundary or
 +1 breakpoint hyperplanes meet.  The solver therefore:
 
-  1. eliminates the equalities exactly, working in the affine subspace;
+  1. eliminates the equalities by fraction-free elimination, working in
+     integer coordinates on the affine subspace;
   2. certifies boundedness, in integers, by checking that the recession
      cone of the projected inequalities is trivial (lineality space plus
      extreme-ray enumeration over (m-1)-subsets of the constraint normals);
   3. enumerates every m-subset of the projected boundary hyperplanes and
      +1 breakpoint hyperplanes (the -1 breakpoints need no vertices of
-     their own), solves each square system by fraction-free elimination
-     over the integers, keeps the feasible intersection points, and
-     evaluates the objective exactly at each.
+     their own), solves each square system by the same elimination, keeps
+     the feasible intersection points and evaluates the objective at each
+     as an integer numerator over a known denominator.
 
 Programs whose subset counts exceed ``MAX_SUBSETS`` are refused with
 ValueError before any enumeration starts.
 
 ``sample_check`` is an independent certificate that the solver's minimum
 is not too high: a hit-and-run walk on a lattice in subspace coordinates,
-every point of which is feasible by construction.  It fails only before its
-first step, when no start is given and the subspace origin is infeasible,
-or at a chord with no end on one side, where the region is unbounded.
+every point of which is feasible by construction.  It shares steps 1 and 2
+and the objective numerator with the solver, not the enumeration.  It fails
+only before its first step: on an empty or unbounded region, or when no
+start is given and the subspace origin is infeasible.
 
-Everything is Fraction/integer arithmetic; there is no floating point
-anywhere, so reported minima and argmin points are exact.
+Everything is integer arithmetic, with Fractions only for the inputs, the
+minimum and the argmin points; there is no floating point anywhere, so
+reported minima and argmin points are exact.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class UnboundedError(PLError):
 
 
 class SamplingError(PLError):
-    """The sampling walk has no feasible start, or meets an unbounded chord."""
+    """The sampling walk has no feasible start: its region is empty or unbounded."""
 
 
 def _vec(values: Iterable[Scalar], n: int, what: str) -> Vector:
@@ -133,7 +136,7 @@ class PLSolution(NamedTuple):
 # -- exact evaluation ---------------------------------------------------------
 
 
-def _dot(a: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
+def _dot(a: Sequence[Scalar], x: Sequence[Scalar]) -> Scalar:
     return sum(ai * xi for ai, xi in zip(a, x))
 
 
@@ -155,134 +158,6 @@ def is_feasible(p: PLProgram, x: Sequence[Scalar]) -> bool:
 
 
 # -- exact linear algebra -----------------------------------------------------
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _affine_subspace(p: PLProgram) -> tuple[Vector, list[Vector]]:
-    """Parametrize {x : equalities hold} as x0 + span(basis), exactly."""
-    n = p.num_vars
-    if not p.equalities:
-        x0 = tuple(Fraction(0) for _ in range(n))
-        basis = [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-            for i in range(n)
-        ]
-        return x0, basis
-    rows = [list(a) + [b] for a, b in p.equalities]
-    rows, pivots = _rref(rows)
-    for row in rows:
-        if all(v == 0 for v in row[:n]) and row[n] != 0:
-            raise InfeasibleError("equality constraints are inconsistent")
-    if n in pivots:  # pivot in the rhs column also signals inconsistency
-        raise InfeasibleError("equality constraints are inconsistent")
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    x0_list = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x0_list[c] = rows[r][n]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return tuple(x0_list), basis
-
-
-def _project_plane(
-    coeffs: Vector, rhs: Fraction, x0: Vector, basis: list[Vector]
-) -> tuple[tuple[int, ...], int, int]:
-    """Rewrite a linear form in subspace coordinates, integerized.
-
-    Returns (w, c, den) with den > 0 such that for x = x0 + sum t_j basis_j,
-    coeffs . x - rhs = (w . t - c) / den.
-    """
-    w = [_dot(coeffs, col) for col in basis]
-    c = rhs - _dot(coeffs, x0)
-    den = lcm(*(v.denominator for v in w), c.denominator) if w else c.denominator
-    return tuple(int(v * den) for v in w), int(c * den), den
-
-
-def _normalize_plane(w: tuple[int, ...], c: int) -> tuple[tuple[int, ...], int]:
-    g = 0
-    for v in w:
-        g = gcd(g, v)
-    g = gcd(g, c)
-    if g == 0:
-        return w, c
-    w = tuple(v // g for v in w)
-    c //= g
-    lead = next((v for v in w if v != 0), 0)
-    if lead < 0:
-        return tuple(-v for v in w), -c
-    return w, c
-
-
-def _solve_square_int(rows: list[tuple[tuple[int, ...], int]], m: int) -> Optional[Vector]:
-    """Solve an m x m integer system by fraction-free elimination.
-
-    Returns None when the system is singular; degenerate subsets contribute
-    no candidate (an optimum on a positive-dimensional face is also attained
-    at a vertex produced by another subset).
-    """
-    mat = [list(w) + [c] for w, c in rows]
-    prev = 1
-    for k in range(m):
-        piv = -1
-        for r in range(k, m):
-            if mat[r][k] != 0:
-                piv = r
-                break
-        if piv < 0:
-            return None
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-        pivot = mat[k][k]
-        row_k = mat[k]
-        for r in range(k + 1, m):
-            row_r = mat[r]
-            factor = row_r[k]
-            if factor == 0:
-                for j in range(k + 1, m + 1):
-                    row_r[j] = (pivot * row_r[j]) // prev
-            else:
-                for j in range(k + 1, m + 1):
-                    row_r[j] = (pivot * row_r[j] - factor * row_k[j]) // prev
-                row_r[k] = 0
-        prev = pivot
-    out = [Fraction(0)] * m
-    for i in range(m - 1, -1, -1):
-        acc = Fraction(mat[i][m])
-        row = mat[i]
-        for j in range(i + 1, m):
-            acc -= row[j] * out[j]
-        out[i] = acc / row[i]
-    return tuple(out)
 
 
 def _echelon_int(rows: list[tuple[int, ...]]) -> tuple[list[list[int]], list[int]]:
@@ -308,8 +183,12 @@ def _echelon_int(rows: list[tuple[int, ...]]) -> tuple[list[list[int]], list[int
         row_r = mat[r]
         pivot = row_r[c]
         for i, row_i in enumerate(mat):
-            if i != r:
-                factor = row_i[c]
+            factor = row_i[c]
+            if i == r or factor == 0 and pivot == prev:
+                continue
+            if factor == 0:
+                mat[i] = [pivot * v // prev for v in row_i]
+            else:
                 mat[i] = [(pivot * v - factor * w) // prev for v, w in zip(row_i, row_r)]
         pivots.append(c)
         prev = pivot
@@ -342,8 +221,11 @@ def _null_ray(rows: list[tuple[int, ...]], m: int) -> Optional[tuple[int, ...]]:
 def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
     """Raise UnboundedError unless {t : W t <= 0} is the zero cone.
 
-    ``rows`` are the nonzero constraint normals, the rows of W.
+    ``rows`` are the nonzero constraint normals, the rows of W.  With m = 0
+    the region is a single point and there is nothing to check.
     """
+    if m == 0:
+        return
     if not rows:
         raise UnboundedError("no inequality constrains the affine subspace")
     if len(_echelon_int(rows)[1]) < m:
@@ -362,6 +244,140 @@ def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
                 raise UnboundedError(f"recession ray {ray} detected")
 
 
+# -- the integer core shared by the solver and the sampler --------------------
+
+
+def _integral(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(l * values, l) in integers, l being the lcm of the denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _normalize_plane(w: tuple[int, ...], c: int) -> tuple[tuple[int, ...], int]:
+    g = 0
+    for v in w:
+        g = gcd(g, v)
+    g = gcd(g, c)
+    if g == 0:
+        return w, c
+    w = tuple(v // g for v in w)
+    c //= g
+    lead = next((v for v in w if v != 0), 0)
+    if lead < 0:
+        return tuple(-v for v in w), -c
+    return w, c
+
+
+class _Region(NamedTuple):
+    """A program on its equality subspace, in integers.
+
+    The subspace coordinates are t_j = x[free_j]; the point with coordinates
+    t is x = (x0 + sum_j t_j basis_j) / den.  Every linear form a . x - b is
+    kept as integers (w, c, s), s > 0, with a . x - b = (w . t - c) / s.
+    """
+
+    free: tuple[int, ...]
+    x0: tuple[int, ...]
+    basis: tuple[tuple[int, ...], ...]
+    den: int
+    ineq: list[tuple[tuple[int, ...], int]]  # w . t <= c, each w nonzero
+    # distinct boundary and +1 breakpoint planes, primitive with a positive lead
+    planes: list[tuple[tuple[int, ...], int]]
+    linear: tuple[tuple[int, ...], int, int]  # (w, c, scale // s) of the linear part
+    hinges: list[tuple[int, tuple[int, ...], int, int]]  # (sign, w, c, scale // s)
+    scale: int
+
+
+def _region(p: PLProgram, empty: PLError) -> _Region:
+    """Eliminate the equalities, project every form and certify boundedness.
+
+    Raises InfeasibleError when the equalities are inconsistent, ``empty``
+    when an inequality that is constant on the subspace fails, ValueError
+    when the boundedness check or the vertex enumeration would visit more
+    than ``MAX_SUBSETS`` subsets, and UnboundedError when the region is
+    unbounded, in that order.
+    """
+    n = p.num_vars
+    mat, pivots = _echelon_int([_integral((*a, b))[0] for a, b in p.equalities])
+    if n in pivots:  # a pivot in the rhs column: some combination reads 0 = b != 0
+        raise InfeasibleError("equality constraints are inconsistent")
+    den = mat[0][pivots[0]] if pivots else 1
+    if den < 0:
+        mat, den = [[-v for v in row] for row in mat], -den
+    free = tuple(c for c in range(n) if c not in pivots)
+    x0 = [0] * n
+    for row, c in zip(mat, pivots):
+        x0[c] = row[n]
+    basis = []
+    for f in free:
+        col = [0] * n
+        col[f] = den
+        for row, c in zip(mat, pivots):
+            col[c] = -row[f]
+        basis.append(tuple(col))
+
+    def project(a: Vector, b: Fraction) -> tuple[tuple[int, ...], int, int]:
+        (*ai, bi), scale = _integral((*a, b))
+        w = [_dot(ai, col) for col in basis]
+        c = bi * den - _dot(ai, x0)
+        g = gcd(c, scale * den, *w)
+        return tuple(v // g for v in w), c // g, scale * den // g
+
+    m = len(free)
+    ineq = []
+    for a, b in p.inequalities:
+        w, c, _ = project(a, b)
+        if any(w):
+            ineq.append((w, c))
+        elif c < 0:
+            raise empty
+    lin = project(p.objective_linear, Fraction(0))
+    hinges = [(h.sign, *project(h.coeffs, h.rhs)) for h in p.hinges]
+    planes = list(dict.fromkeys(
+        _normalize_plane(*plane)
+        for plane in ineq + [(w, c) for sign, w, c, _ in hinges if sign > 0 and any(w)]
+    ))
+
+    for count, what, size in (
+        (len(ineq), "inequality planes", m - 1),
+        (len(planes), "distinct boundary and +1 breakpoint planes", m),
+    ):
+        total = comb(count, size) if size >= 0 else 0
+        if total > MAX_SUBSETS:
+            raise ValueError(
+                f"program too large: {count} {what} in dimension m = {m} give "
+                f"{total} subsets of size {size}, over the limit of {MAX_SUBSETS}"
+            )
+    _check_bounded([w for w, _ in ineq], m)
+
+    scale = lcm(lin[2], *(s for *_, s in hinges))
+    return _Region(
+        free, tuple(x0), tuple(basis), den, ineq, planes,
+        (lin[0], lin[1], scale // lin[2]),
+        [(sign, w, c, scale // s) for sign, w, c, s in hinges],
+        scale,
+    )
+
+
+def _numerator(r: _Region, tn: Sequence[int], q: int) -> int:
+    """The objective at t = tn / q is const + _numerator(r, tn, q) / (r.scale * q)."""
+    w, c, mult = r.linear
+    total = (_dot(w, tn) - c * q) * mult
+    for sign, w, c, mult in r.hinges:
+        excess = _dot(w, tn) - c * q
+        if excess > 0:
+            total += sign * excess * mult
+    return total
+
+
+def _lift(r: _Region, tn: Sequence[int], q: int) -> Vector:
+    """The point x with subspace coordinates t = tn / q, in Fractions."""
+    return tuple(
+        Fraction(x0i * q + sum(col[i] * t for col, t in zip(r.basis, tn)), r.den * q)
+        for i, x0i in enumerate(r.x0)
+    )
+
+
 # -- the solver ---------------------------------------------------------------
 
 
@@ -375,6 +391,12 @@ def solve(p: PLProgram) -> PLSolution:
     cannot move the minimum.  ``argmin_points`` are the minimising vertices
     of that reduced arrangement, each also a vertex of the full one.
 
+    Each m-subset of planes is solved by fraction-free Gauss-Jordan
+    elimination, which gives its vertex as integers t = tn / q; feasibility
+    and the objective are evaluated on those integers, and only the
+    minimising vertices are lifted to Fraction points x.  A region that is
+    one point (m = 0) is the single empty subset.
+
     Raises InfeasibleError when the region is empty and UnboundedError when
     it is unbounded.  Boundedness is a property of the recession cone of
     the constraint system and is certified before minimization (the vertex
@@ -383,84 +405,38 @@ def solve(p: PLProgram) -> PLSolution:
     either step, when the boundedness check or the enumeration would visit
     more than ``MAX_SUBSETS`` subsets.
     """
-    x0, basis = _affine_subspace(p)
-    m = len(basis)
-
-    proj_ineq: list[tuple[tuple[int, ...], int]] = []
-    for a, b in p.inequalities:
-        w, c, _ = _project_plane(a, b, x0, basis)
-        if all(v == 0 for v in w):
-            if c < 0:
-                raise InfeasibleError("inequality violated on the equality subspace")
-            continue
-        proj_ineq.append((w, c))
-
-    if m == 0:
-        x = x0
-        if all(_dot(a, x) <= b for a, b in p.inequalities):
-            return PLSolution(
-                objective_value(p, x), (x,), planes=0, subsets=1, singular=0, infeasible=0,
-                feasible=1,
-            )
-        raise InfeasibleError("the unique equality solution violates an inequality")
-
-    seen: set[tuple[tuple[int, ...], int]] = set()
-    planes: list[tuple[tuple[int, ...], int]] = []
-    breakpoint_planes = []
-    for h in p.hinges:
-        if h.sign < 0:
-            continue
-        w, c, _ = _project_plane(h.coeffs, h.rhs, x0, basis)
-        if any(v != 0 for v in w):
-            breakpoint_planes.append((w, c))
-    for plane in proj_ineq + breakpoint_planes:
-        key = _normalize_plane(*plane)
-        if key not in seen:
-            seen.add(key)
-            planes.append(key)
-
-    for count, what, size in (
-        (len(proj_ineq), "inequality planes", m - 1),
-        (len(planes), "distinct boundary and +1 breakpoint planes", m),
-    ):
-        total = comb(count, size)
-        if total > MAX_SUBSETS:
-            raise ValueError(
-                f"program too large: {count} {what} in dimension m = {m} give "
-                f"{total} subsets of size {size}, over the limit of {MAX_SUBSETS}"
-            )
-
-    _check_bounded([w for w, _ in proj_ineq], m)
-
-    best: Optional[Fraction] = None
-    argmins: dict[Vector, None] = {}
+    r = _region(p, InfeasibleError("inequality violated on the equality subspace"))
+    m = len(r.free)
+    best: Optional[tuple[int, int]] = None  # (numerator, q) of the least value so far
+    argmins: dict[tuple[tuple[int, ...], int], None] = {}
     subsets = singular = infeasible = 0
-    for subset in combinations(planes, m):
+    for subset in combinations(r.planes, m):
         subsets += 1
-        t = _solve_square_int(list(subset), m)
-        if t is None:
+        mat, pivots = _echelon_int([(*w, c) for w, c in subset])
+        if len(pivots) < m or m in pivots:  # the planes do not meet in one point
             singular += 1
             continue
-        # integer feasibility check in subspace coordinates
-        den = lcm(*(v.denominator for v in t))
-        tn = [int(v * den) for v in t]
-        if any(sum(wi * ti for wi, ti in zip(w, tn)) > c * den for w, c in proj_ineq):
+        q = mat[0][0] if m else 1
+        tn = [row[m] for row in mat]
+        if q < 0:
+            q, tn = -q, [-v for v in tn]
+        if any(_dot(w, tn) > c * q for w, c in r.ineq):
             infeasible += 1
             continue
-        x = tuple(
-            x0[i] + sum(t[j] * basis[j][i] for j in range(m)) for i in range(p.num_vars)
-        )
-        value = objective_value(p, x)
-        if best is None or value < best:
-            best = value
-            argmins = {x: None}
-        elif value == best:
-            argmins[x] = None
+        g = gcd(q, *tn)
+        q, tn = q // g, tuple(v // g for v in tn)
+        num = _numerator(r, tn, q)
+        if best is None or num * best[1] < best[0] * q:
+            best, argmins = (num, q), {}
+        if num * best[1] == best[0] * q:
+            argmins[tn, q] = None
     if best is None:
         raise InfeasibleError("no intersection point satisfies all constraints")
     return PLSolution(
-        best, tuple(sorted(argmins)), planes=len(planes), subsets=subsets,
-        singular=singular, infeasible=infeasible, feasible=subsets - singular - infeasible,
+        p.objective_const + Fraction(best[0], r.scale * best[1]),
+        tuple(sorted(_lift(r, tn, q) for tn, q in argmins)),
+        planes=len(r.planes), subsets=subsets, singular=singular, infeasible=infeasible,
+        feasible=subsets - singular - infeasible,
     )
 
 
@@ -475,63 +451,48 @@ def sample_check(
 ) -> Fraction:
     """Minimum of the objective over the points of a hit-and-run walk.
 
-    The walk starts at ``center`` (validated first) or, without one, at the
-    origin of the subspace coordinates, and lives on the lattice (1/Q) Z^m
-    of those coordinates, Q being 64 times the lcm of the start's
-    denominators.  Each step picks a direction d uniformly from
+    The region is first reduced and certified bounded exactly as ``solve``
+    does it.  The walk starts at ``center``, which must be feasible, or,
+    without one, at the origin of the subspace coordinates, and lives on
+    the lattice (1/Q) Z^m of those coordinates, Q being 64 times the lcm of
+    the start's denominators.  Each step picks a direction d uniformly from
     {-1, 0, 1}^m minus 0, computes from the integer slacks of the projected
     inequalities the chord of lattice points t + j d that stay feasible, and
-    moves to one of them chosen uniformly (j = 0 included).  Every point is
+    moves to one of them chosen uniformly (j = 0 included).  The region is
+    bounded, so both ends of every chord are closed.  Every point is
     feasible by construction and exactly ``trials`` points are drawn, the
     start being the first, so the returned value is a certified upper bound
     for the true minimum: it can never undercut ``solve``.  Everything runs
     on integers and every value is exact.
 
-    Raises SamplingError when no center is given and the origin violates an
-    inequality, or when a chord has no end on one side, since the region is
-    then unbounded (``solve`` raises UnboundedError for it).
+    Raises InfeasibleError when the equalities are inconsistent,
+    SamplingError when an inequality fails on the whole equality subspace,
+    when the region is unbounded, or when no center is given and the origin
+    violates an inequality; ValueError for an infeasible center and for a
+    program over ``solve``'s subset limit.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    x0, basis = _affine_subspace(p)
-    m = len(basis)
-    ineq_rows = []
-    for a, b in p.inequalities:
-        w, c, _ = _project_plane(a, b, x0, basis)
-        if all(v == 0 for v in w):
-            if c < 0:
-                raise SamplingError("region is empty on the equality subspace")
-            continue
-        ineq_rows.append((w, c))
-
+    try:
+        r = _region(p, SamplingError("region is empty on the equality subspace"))
+    except UnboundedError as exc:
+        raise SamplingError(f"region is unbounded: {exc}") from None
+    m = len(r.free)
     if center is not None:
         cx = _vec(center, p.num_vars, "center")
         if not is_feasible(p, cx):
             raise ValueError("supplied center is not feasible")
-        start = _coords_of(cx, x0, basis)
+        start = [cx[f] for f in r.free]
     else:
-        start = (Fraction(0),) * m
+        start = [Fraction(0)] * m
     q = 64 * lcm(1, *(v.denominator for v in start))
     tn = [int(v * q) for v in start]
 
     # slack c q - w . tn of each inequality w . t <= c, kept >= 0 along the walk
-    slack = [c * q - _dot(w, tn) for w, c in ineq_rows]
+    slack = [c * q - _dot(w, tn) for w, c in r.ineq]
     if any(s < 0 for s in slack):
         raise SamplingError("the subspace origin violates an inequality; supply a feasible center")
-    lw, lc, lden = _project_plane(p.objective_linear, Fraction(0), x0, basis)
-    hinge_rows = [(h.sign, *_project_plane(h.coeffs, h.rhs, x0, basis)) for h in p.hinges]
-    scale = lcm(lden, *(den for *_, den in hinge_rows))
-
-    def numerator(tn: Sequence[int]) -> int:
-        """The objective at tn / q is const + numerator(tn) / (q * scale)."""
-        total = (_dot(lw, tn) - lc * q) * (scale // lden)
-        for sign, w, c, den in hinge_rows:
-            excess = _dot(w, tn) - c * q
-            if excess > 0:
-                total += sign * excess * (scale // den)
-        return total
-
-    best = numerator(tn)
+    best = _numerator(r, tn, q)
     rng = random.Random(seed)
     # with m = 0 the region is one point and every draw is the start
     for _ in range(trials - 1 if m else 0):
@@ -540,31 +501,14 @@ def sample_check(
         for _ in range(m):
             code, digit = divmod(code, 3)
             d.append((0, 1, -1)[digit])
-        steps = [_dot(w, d) for w, _ in ineq_rows]
-        ups = [s // a for s, a in zip(slack, steps) if a > 0]
-        downs = [-(s // -a) for s, a in zip(slack, steps) if a < 0]
-        if not ups or not downs:
-            ray = tuple(d) if not ups else tuple(-v for v in d)
-            raise SamplingError(f"region is unbounded along {ray} in subspace coordinates")
-        j = rng.randint(max(downs), min(ups))
+        steps = [_dot(w, d) for w, _ in r.ineq]
+        low = max(-(s // -a) for s, a in zip(slack, steps) if a < 0)
+        high = min(s // a for s, a in zip(slack, steps) if a > 0)
+        j = rng.randint(low, high)
         tn = [t + j * v for t, v in zip(tn, d)]
         slack = [s - j * a for s, a in zip(slack, steps)]
-        best = min(best, numerator(tn))
-    return p.objective_const + Fraction(best, q * scale)
-
-
-def _coords_of(x: Vector, x0: Vector, basis: list[Vector]) -> Vector:
-    """Subspace coordinates of a point on the affine subspace."""
-    m = len(basis)
-    diff = [xi - x0i for xi, x0i in zip(x, x0)]
-    rows = [[basis[j][i] for j in range(m)] + [diff[i]] for i in range(len(x))]
-    rows, pivots = _rref(rows)
-    if m in pivots:
-        raise ValueError("point does not lie on the equality subspace")
-    t = [Fraction(0)] * m
-    for r, c in enumerate(pivots):
-        t[c] = rows[r][m]
-    return tuple(t)
+        best = min(best, _numerator(r, tn, q))
+    return p.objective_const + Fraction(best, q * r.scale)
 
 
 # -- the four bundled minimization instances ----------------------------------

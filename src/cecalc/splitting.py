@@ -79,11 +79,6 @@ def _coerce(t: TypeLike) -> SplittingType:
 # -- cohomology and summand-wise constructions ------------------------------
 
 
-def h0(t: TypeLike) -> int:
-    """h^0 = sum of max(0, e_i + 1)."""
-    return sum(max(0, e + 1) for e in _coerce(t))
-
-
 def h1(t: TypeLike) -> int:
     """h^1 = sum of max(0, -e_i - 1)."""
     return sum(max(0, -e - 1) for e in _coerce(t))
@@ -156,13 +151,6 @@ def codim_hurwitz5(e: TypeLike, f: TypeLike, genus: int) -> int:
             f"got ({e.degree}, {f.degree})"
         )
     return codim_simultaneous(e, f) - h1(quintic_u_type(e, f, genus))
-
-
-def factoring_codim(g_prime: int) -> int:
-    """Codimension of degree-4 covers factoring through a genus-g' curve."""
-    if g_prime < 0:
-        raise ValueError(f"intermediate genus must be >= 0, got {g_prime}")
-    return 2 * (g_prime + 1)
 
 
 def negative_summand_count5(e: TypeLike, f: TypeLike, genus: int) -> int:
@@ -317,9 +305,3 @@ def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRe
                 )
     records.sort(key=lambda r: (r.codim, r.e.parts, r.f.parts))
     return records
-
-
-def balanced_type(rank: int, degree: int) -> SplittingType:
-    """The most balanced splitting type of the given rank and degree."""
-    q, r = divmod(degree, rank)
-    return SplittingType([q] * (rank - r) + [q + 1] * r)

@@ -55,7 +55,7 @@ def test_push_pi_reads_z_coefficient():
     a1 = ring.gen("a1")
     assert push_pi(z) == ring.one()
     assert push_pi(FiberClass.const(ring, 1)).is_zero()
-    assert push_pi(FiberClass.of_poly(a1) * z + FiberClass.of_poly(ring.gen("c2"))) == a1
+    assert push_pi(FiberClass(a1, ring.zero()) * z + FiberClass(ring.gen("c2"), ring.zero())) == a1
 
 
 # -- character <-> Chern class conversions -----------------------------------

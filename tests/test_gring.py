@@ -101,18 +101,6 @@ def test_degree_parts_sum_to_whole():
         assert total == p
 
 
-def test_substitute_examples():
-    ring = RingSpec([("a1'", 1), ("a1", 1), ("b1", 1)], 4)
-    a1p, a1, b1 = ring.gen("a1'"), ring.gen("a1"), ring.gen("b1")
-    # a1' bound to g+2 with g=7
-    p = a1p * 2 - ring.const(6)
-    assert p.substitute({"a1'": 9}) == ring.const(12)
-    assert a1.substitute({}) == a1
-    assert (a1 * b1).substitute({"a1": 0}).is_zero()
-    with pytest.raises(ValueError, match="unknown generator"):
-        a1.substitute({"nope": 1})
-
-
 def _random_poly(ring, rng):
     terms = {}
     for _ in range(rng.randint(1, 6)):

@@ -78,13 +78,17 @@ def test_equalities_pinning_a_single_point():
     sol = solve(p)
     assert sol.min_value == 5
     assert sol.argmin_points == ((Fraction(2), Fraction(3)),)
+    # m = 0: the enumeration is the one empty subset
+    assert sol[2:] == (0, 1, 0, 0, 1)
     bad = program(
         num_vars=2,
         equalities=[([1, 0], 2), ([0, 1], 3)],
         inequalities=[([1, 1], 4)],
     )
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match="inequality violated on the equality subspace"):
         solve(bad)
+    with pytest.raises(SamplingError, match="region is empty on the equality subspace"):
+        sample_check(bad, trials=5, seed=0)
 
 
 def test_hinge_terms_shift_the_minimizer():
@@ -241,6 +245,92 @@ def test_bound_examples(preset_results):
         bound(4, 10, "nope")
 
 
+# -- exact outputs pinned from the earlier Fraction-based solver --------------
+#
+# Recorded from the solver and sampler this module had before its integer
+# core (rational elimination and back-substitution, Fraction objective): the
+# full PLSolution, counts included, and the exact value of walks that start
+# away from the minimum, so that the steps of the walk show in the value.
+
+
+def _point(text):
+    return tuple(Fraction(v) for v in text.split())
+
+
+def _coh5_face(fixed):
+    """lemma_coh5 with the coordinates ``fixed`` of B5_POINT pinned by equalities."""
+    p = preset("lemma_coh5")
+    pins = [([int(j == i) for j in range(9)], B5_POINT[i]) for i in fixed]
+    return program(
+        num_vars=9,
+        equalities=list(p.equalities) + pins,
+        inequalities=p.inequalities,
+        objective_linear=p.objective_linear,
+        objective_const=p.objective_const,
+        hinges=[(h.sign, h.coeffs, h.rhs) for h in p.hinges],
+    )
+
+
+_B4 = "1/4 3/8 3/8 1/2 1/2"
+_B5 = "1/5 4/15 4/15 4/15 2/5 2/5 2/5 2/5 2/5"
+# (preset, pinned coordinates of B5_POINT or None, (minimum, argmins, counts));
+# the counts are planes, subsets, singular, infeasible, feasible
+PINNED_SOLUTIONS = [
+    ("lemma_b4", None, ("1/4", (_B4,), (6, 20, 7, 5, 8))),
+    ("lemma_coh4", None, ("1/4", (_B4,), (8, 56, 7, 34, 15))),
+    ("lemma_b5circ", None, ("1/5", (_B5,), (10, 120, 57, 37, 26))),
+    ("lemma_coh5", None, ("1/5", ("0 1/3 1/3 1/3 2/5 2/5 2/5 2/5 2/5", _B5), (13, 1716, 585, 821, 310))),
+    ("lemma_coh5", (0, 3, 8), ("1/5", (_B5,), (11, 330, 121, 200, 9))),
+    ("lemma_coh5", (2, 3, 8), ("1/5", (_B5,), (12, 495, 259, 223, 13))),
+    ("lemma_coh5", (1, 4, 7), ("1/5", (_B5,), (12, 495, 212, 250, 33))),
+    ("lemma_coh5", (0, 2, 8), ("1/5", (_B5,), (11, 330, 156, 156, 18))),
+    ("lemma_coh5", (0, 3, 4), ("1/5", (_B5,), (9, 126, 41, 81, 4))),
+    ("lemma_coh5", (2, 3, 4), ("1/5", (_B5,), (11, 330, 178, 141, 11))),
+    ("lemma_coh5", (0, 3, 6), ("1/5", (_B5,), (11, 330, 159, 142, 29))),
+    ("lemma_coh5", (1, 5, 7), ("1/5", (_B5,), (12, 495, 209, 260, 26))),
+]
+
+
+@pytest.mark.parametrize(
+    "name, face, want",
+    [pytest.param(*case, id=case[0] + ("" if case[1] is None else "-" + "".join(map(str, case[1]))))
+     for case in PINNED_SOLUTIONS],
+)
+def test_pinned_solutions(name, face, want):
+    p = preset(name) if face is None else _coh5_face(face)
+    value, points, counts = want
+    assert tuple(solve(p)) == (Fraction(value), tuple(_point(x) for x in points), *counts)
+
+
+# feasible, not minimising starts; each pinned value is first reached at the
+# last of ``trials`` draws, so a walk one draw shorter gives another value
+WALK_CENTERS = {
+    5: "1/5 2/5 2/5 2/5 3/5",
+    9: "1/10 1/5 3/10 2/5 3/10 7/20 2/5 9/20 1/2",
+}
+PINNED_WALKS = [
+    ("lemma_b4", 1, 78, "15/32"),
+    ("lemma_b4", 2, 155, "23/80"),
+    ("lemma_coh4", 1, 134, "5/16"),
+    ("lemma_coh4", 2, 151, "23/80"),
+    ("lemma_b5circ", 1, 7, "593/320"),
+    ("lemma_b5circ", 2, 8, "215/128"),
+    ("lemma_coh5", 1, 147, "239/320"),
+    ("lemma_coh5", 2, 7, "453/640"),
+]
+
+
+@pytest.mark.parametrize("name, seed, trials, want", PINNED_WALKS)
+def test_pinned_walk_values(name, seed, trials, want):
+    p = preset(name)
+    center = _point(WALK_CENTERS[p.num_vars])
+    assert sample_check(p, trials=trials, seed=seed, center=center) == Fraction(want)
+    assert sample_check(p, trials=trials - 1, seed=seed, center=center) > Fraction(want)
+    # every preset's subspace origin is infeasible, so only a centred walk runs
+    with pytest.raises(SamplingError, match="origin"):
+        sample_check(p, trials=trials, seed=seed)
+
+
 # -- JSON format ----------------------------------------------------------------------
 
 
@@ -301,6 +391,21 @@ def test_sample_check_unbounded_region_raises():
     p = program(num_vars=1, inequalities=[([-1], 0)], objective_linear=[1])  # x >= 0
     with pytest.raises(SamplingError, match="unbounded"):
         sample_check(p, trials=2, seed=0)
+
+
+def test_sample_check_refuses_a_cone_no_walk_direction_follows():
+    # x >= 2y, x <= 3y, y >= 1: the recession rays lie between (2, 1) and
+    # (3, 1), so no direction in {-1, 0, 1}^2 has a chord open on one side;
+    # unchecked, the walk drifted off to -9145096579/32 (trials 2000, seed 1).
+    p = program(
+        num_vars=2,
+        inequalities=[([-1, 2], 0), ([1, -3], 0), ([0, -1], -1)],
+        objective_linear=[-1, 0],
+    )
+    with pytest.raises(UnboundedError, match=r"recession ray \(2, 1\)"):
+        solve(p)
+    with pytest.raises(SamplingError, match=r"unbounded: recession ray \(2, 1\)"):
+        sample_check(p, trials=2000, seed=1, center=[5, 2])
 
 
 def test_sample_check_without_center_needs_a_feasible_origin():

@@ -6,7 +6,6 @@ import pytest
 
 from cecalc.splitting import (
     SplittingType,
-    balanced_type,
     codim_hurwitz4,
     codim_hurwitz5,
     codim_simultaneous,
@@ -15,8 +14,6 @@ from cecalc.splitting import (
     dual_type,
     end_type,
     enumerate_strata4,
-    factoring_codim,
-    h0,
     h1,
     hom_type,
     negative_summand_count5,
@@ -26,6 +23,17 @@ from cecalc.splitting import (
     twist_type,
     wedge2_type,
 )
+
+
+def balanced_type(rank, degree):
+    """The most balanced splitting type of the given rank and degree."""
+    q, r = divmod(degree, rank)
+    return SplittingType([q] * (rank - r) + [q + 1] * r)
+
+
+def h0(t):
+    """h^0 = sum of max(0, e_i + 1), written out to check h1 against."""
+    return sum(max(0, e + 1) for e in SplittingType(t).parts)
 
 
 def random_type(rng, rank, lo=-5, hi=9):
@@ -158,14 +166,6 @@ def test_codim_quintic_balanced_types_are_generic():
 def test_codim_quintic_validates_degrees():
     with pytest.raises(ValueError, match="degrees"):
         codim_hurwitz5([1, 4, 4, 4], [5, 5, 6, 6, 6], 9)  # degree mismatch at g=9
-
-
-def test_factoring_codim():
-    assert factoring_codim(0) == 2
-    assert factoring_codim(5) == 12
-    assert min(factoring_codim(gp) for gp in range(0, 30)) == 2
-    with pytest.raises(ValueError):
-        factoring_codim(-1)
 
 
 # -- constraint predicates ----------------------------------------------------------
