@@ -465,6 +465,12 @@ def sample_check(
     for the true minimum: it can never undercut ``solve``.  Everything runs
     on integers and every value is exact.
 
+    The bound is only as tight as the walk's start.  From the feasible
+    center (1/10, 1/5, 3/10, 2/5, 3/10, 7/20, 2/5, 9/20, 1/2),
+    ``lemma_b5circ`` at seed 1 stays at 593/320 from draw 8 to draw 200,
+    while its minimum is 1/5.  That is why criterion 9 of the acceptance
+    suite starts each walk at the argmin.
+
     Raises InfeasibleError when the equalities are inconsistent,
     SamplingError when an inequality fails on the whole equality subspace,
     when the region is unbounded, or when no center is given and the origin

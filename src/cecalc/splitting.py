@@ -2,23 +2,28 @@
 
 Every bundle on P^1 is a sum of line bundles O(e_1) + ... + O(e_r); the
 non-decreasing integer vector (e_1, ..., e_r) is its splitting type.  All
-tensor-algebra constructions act summand-wise, so cohomology of any derived
-bundle is a finite max-sum, and the codimension of the locus where a family
+tensor-algebra constructions act summand-wise, and every summand degree of
+a derived bundle is a linear form in the parts, so its h^1 is a short
+integer sum over those forms.  The codimension of the locus where a family
 degenerates to given splitting types is an explicit alternating h^1 count:
 
   * simultaneous splitting locus of a pair:  h1(End e) + h1(End f)
   * degree-4 covers:   h1(End e) + h1(End f) - h1(Hom(f, Sym^2 e))
   * degree-5 covers:   h1(End e) + h1(End f) - h1(e . wedge^2 f . O(-g-4))
 
-The constraint predicates record which splitting-type inequalities a smooth
-irreducible (or non-factoring) cover forces, and the degree-4 enumeration
-reproduces the full stratum table of a given genus.
+These formulas and the constraint predicates sum over the summand degrees
+directly: no derived bundle is ever built as a ``SplittingType``.
+``sym2_type``, ``wedge2_type`` and ``tensor_type`` build them only for
+callers that want the types themselves.  The constraint predicates record
+which splitting-type inequalities a smooth irreducible (or non-factoring)
+cover forces, and the degree-4 enumeration reproduces the full stratum
+table of a given genus.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 TypeLike = Union["SplittingType", Sequence[int]]
 
@@ -79,40 +84,42 @@ def _coerce(t: TypeLike) -> SplittingType:
 # -- cohomology and summand-wise constructions ------------------------------
 
 
-def h1(t: TypeLike) -> int:
-    """h^1 = sum of max(0, -e_i - 1)."""
-    return sum(max(0, -e - 1) for e in _coerce(t))
+def h1(degrees: Iterable[int]) -> int:
+    """h^1 of the sum of O(d) over the summand degrees d: sum of max(0, -d - 1)."""
+    return sum(-d - 1 for d in degrees if d < -1)
 
 
-def dual_type(t: TypeLike) -> SplittingType:
-    return SplittingType(-e for e in _coerce(t))
+def _sym2(t: Sequence[int]) -> Iterator[int]:
+    return (a + b for i, a in enumerate(t) for b in t[i:])
 
 
-def twist_type(t: TypeLike, n: int) -> SplittingType:
-    return SplittingType(e + n for e in _coerce(t))
+def _wedge2(t: Sequence[int]) -> Iterator[int]:
+    return (t[i] + t[j] for i, j in combinations(range(len(t)), 2))
 
 
 def tensor_type(s: TypeLike, t: TypeLike) -> SplittingType:
-    s, t = _coerce(s), _coerce(t)
-    return SplittingType(a + b for a in s for b in t)
-
-
-def hom_type(s: TypeLike, t: TypeLike) -> SplittingType:
-    return tensor_type(dual_type(s), t)
-
-
-def end_type(t: TypeLike) -> SplittingType:
-    return hom_type(t, t)
+    return SplittingType(a + b for a in _coerce(s) for b in _coerce(t))
 
 
 def sym2_type(t: TypeLike) -> SplittingType:
-    t = _coerce(t)
-    return SplittingType(t[i] + t[j] for i in range(len(t)) for j in range(i, len(t)))
+    return SplittingType(_sym2(_coerce(t)))
 
 
 def wedge2_type(t: TypeLike) -> SplittingType:
-    t = _coerce(t)
-    return SplittingType(t[i] + t[j] for i, j in combinations(range(len(t)), 2))
+    return SplittingType(_wedge2(_coerce(t)))
+
+
+def _quintic_u(e: SplittingType, f: SplittingType, genus: int) -> Iterator[int]:
+    """The 40 summand degrees e_i + f_j + f_k - (g+4) of e . wedge^2 f . O(-g-4)."""
+    return (a + b - (genus + 4) for a in e for b in _wedge2(f))
+
+
+def _pair(e: TypeLike, f: TypeLike, ranks: tuple[int, int]) -> tuple:
+    """(e, f) as SplittingTypes; ValueError unless their ranks are ``ranks``."""
+    e, f = _coerce(e), _coerce(f)
+    if (e.rank, f.rank) != ranks:
+        raise ValueError(f"need ranks {ranks}, got ({e.rank}, {f.rank})")
+    return e, f
 
 
 # -- codimension formulas ----------------------------------------------------
@@ -120,7 +127,7 @@ def wedge2_type(t: TypeLike) -> SplittingType:
 
 def codim_simultaneous(e: TypeLike, f: TypeLike) -> int:
     """Codimension of the locus where a pair degenerates to (e, f)."""
-    return h1(end_type(e)) + h1(end_type(f))
+    return sum(h1(b - a for a in t for b in t) for t in (e, f))
 
 
 def codim_hurwitz4(e: TypeLike, f: TypeLike) -> int:
@@ -129,28 +136,19 @@ def codim_hurwitz4(e: TypeLike, f: TypeLike) -> int:
     Raw value of h1(End e) + h1(End f) - h1(Hom(f, Sym^2 e)); no clamping,
     filtering by the cover constraints is the caller's job.
     """
-    e, f = _coerce(e), _coerce(f)
-    if e.rank != 3 or f.rank != 2:
-        raise ValueError(f"need ranks (3, 2), got ({e.rank}, {f.rank})")
-    return codim_simultaneous(e, f) - h1(hom_type(f, sym2_type(e)))
-
-
-def quintic_u_type(e: TypeLike, f: TypeLike, genus: int) -> SplittingType:
-    """The 40-summand bundle e . wedge^2 f . O(-(g+4)) for degree-5 covers."""
-    return twist_type(tensor_type(e, wedge2_type(f)), -(genus + 4))
+    e, f = _pair(e, f, (3, 2))
+    return codim_simultaneous(e, f) - h1(s - fl for s in _sym2(e) for fl in f)
 
 
 def codim_hurwitz5(e: TypeLike, f: TypeLike, genus: int) -> int:
     """Codimension of the (e, f) stratum for degree-5 covers of genus g."""
-    e, f = _coerce(e), _coerce(f)
-    if e.rank != 4 or f.rank != 5:
-        raise ValueError(f"need ranks (4, 5), got ({e.rank}, {f.rank})")
+    e, f = _pair(e, f, (4, 5))
     if e.degree != genus + 4 or f.degree != 2 * genus + 8:
         raise ValueError(
             f"need degrees ({genus + 4}, {2 * genus + 8}), "
             f"got ({e.degree}, {f.degree})"
         )
-    return codim_simultaneous(e, f) - h1(quintic_u_type(e, f, genus))
+    return codim_simultaneous(e, f) - h1(_quintic_u(e, f, genus))
 
 
 def negative_summand_count5(e: TypeLike, f: TypeLike, genus: int) -> int:
@@ -161,10 +159,8 @@ def negative_summand_count5(e: TypeLike, f: TypeLike, genus: int) -> int:
     ``QuinticConstraints`` to be nonnegative.  A cap of 11 fails even for
     smooth covers (see the README's "Known limitation" note).
     """
-    e, f = _coerce(e), _coerce(f)
-    if e.rank != 4 or f.rank != 5:
-        raise ValueError(f"need ranks (4, 5), got ({e.rank}, {f.rank})")
-    return sum(1 for d in quintic_u_type(e, f, genus) if d < 0)
+    e, f = _pair(e, f, (4, 5))
+    return sum(1 for d in _quintic_u(e, f, genus) if d < 0)
 
 
 # -- constraint predicates ----------------------------------------------------
@@ -207,10 +203,8 @@ class QuarticConstraints(NamedTuple):
 
 
 def constraints_4(e: TypeLike, f: TypeLike) -> QuarticConstraints:
-    e, f = _coerce(e), _coerce(f)
-    if e.rank != 3 or f.rank != 2:
-        raise ValueError(f"need ranks (3, 2), got ({e.rank}, {f.rank})")
-    u = hom_type(f, sym2_type(e))
+    e, f = _pair(e, f, (3, 2))
+    least = 2 * e[0] - f[1]  # the least summand of Hom(f, Sym^2 e)
     return QuarticConstraints(
         degrees_match=e.degree == f.degree,
         e1_positive=e[0] >= 1,
@@ -218,8 +212,8 @@ def constraints_4(e: TypeLike, f: TypeLike) -> QuarticConstraints:
         pencil_bound_f2=2 * e[1] >= f[1],
         second_quadric_varies=not (e[0] + e[2] < f[1] and 2 * e[2] <= f[1]),
         non_factoring=e[0] + e[2] >= f[1],
-        in_h_prime=all(d >= -1 for d in u),
-        in_h_circ=all(d >= 1 for d in u),
+        in_h_prime=least >= -1,
+        in_h_circ=least >= 1,
     )
 
 
@@ -247,18 +241,16 @@ class QuinticConstraints(NamedTuple):
 
 
 def constraints_5(e: TypeLike, f: TypeLike, genus: int) -> QuinticConstraints:
-    e, f = _coerce(e), _coerce(f)
-    if e.rank != 4 or f.rank != 5:
-        raise ValueError(f"need ranks (4, 5), got ({e.rank}, {f.rank})")
+    e, f = _pair(e, f, (4, 5))
     target = genus + 4
-    u = quintic_u_type(e, f, genus)
+    least = e[0] + f[0] + f[1] - target  # the least of the 40 summands
     return QuinticConstraints(
         degrees_match=e.degree == target and f.degree == 2 * target,
         pfaffian_lower=f[0] + f[2] + e[3] >= target,
         pfaffian_imp2=f[0] + f[3] + e[2] >= target,
         pfaffian_imp3=f[1] + f[2] + e[2] >= target,
-        in_h_prime=all(d >= -1 for d in u),
-        in_h_circ=all(d >= 1 for d in u) and f[0] >= 0,
+        in_h_prime=least >= -1,
+        in_h_circ=least >= 1 and f[0] >= 0,
     )
 
 
@@ -274,6 +266,9 @@ class StratumRecord(NamedTuple):
 
 _FILTERS = ("all", "irreducible", "non_factoring")
 
+# Most (e, f) candidates enumerate_strata4 visits; genus 618 is the largest that fits.
+MAX_STRATA_CANDIDATES = 10**7
+
 
 def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRecord]:
     """All degree-4 candidate strata (e, f) of total degree g+3.
@@ -282,19 +277,28 @@ def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRe
     every sorted f = (f_1, f_2) with f_1 >= 1, both of degree g+3.  The
     ``irreducible`` filter keeps strata passing ``irreducible_ok``;
     ``non_factoring`` additionally requires e_1 + e_3 >= f_2; ``all`` keeps
-    everything.  Rows are sorted by (codim, e, f).
+    everything.  Rows are sorted by (codim, e, f).  Raises ValueError,
+    before enumerating, when the search space holds more than
+    ``MAX_STRATA_CANDIDATES`` pairs.
     """
     if genus < 2:
         raise ValueError(f"genus must be >= 2, got {genus}")
     if filter not in _FILTERS:
         raise ValueError(f"filter must be one of {_FILTERS}, got {filter!r}")
     d = genus + 3
+    # (number of sorted e) * (number of sorted f)
+    candidates = sum((d - e1) // 2 - e1 + 1 for e1 in range(1, d // 3 + 1)) * (d // 2)
+    if candidates > MAX_STRATA_CANDIDATES:
+        raise ValueError(
+            f"genus {genus} has {candidates} candidate strata, "
+            f"more than the limit of {MAX_STRATA_CANDIDATES}"
+        )
+    fs = [SplittingType((f1, d - f1)) for f1 in range(1, d // 2 + 1)]
     records = []
     for e1 in range(1, d // 3 + 1):
         for e2 in range(e1, (d - e1) // 2 + 1):
             e = SplittingType((e1, e2, d - e1 - e2))
-            for f1 in range(1, d // 2 + 1):
-                f = SplittingType((f1, d - f1))
+            for f in fs:
                 flags = constraints_4(e, f)
                 if filter == "irreducible" and not flags.irreducible_ok:
                     continue

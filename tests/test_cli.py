@@ -148,6 +148,14 @@ def test_oversized_program_exits_2_fast(tmp_path, capsys):
     assert "60 inequality planes in dimension m = 9 give 2558620845 subsets" in err
 
 
+def test_oversized_strata_table_exits_2_fast(capsys):
+    start = time.perf_counter()
+    assert main(["strata", "-k", "4", "-g", "100000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "genus 100000 has 41670000083334 candidate strata, more than the limit" in err
+
+
 def test_minimize_json_reports_solver_counts(capsys):
     code, raw = run_cli(capsys, ["minimize", "--preset", "lemma_coh4", "--json"])
     assert code == 0

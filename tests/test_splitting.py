@@ -1,26 +1,23 @@
 """Splitting-type combinatorics, codimension formulas, strata enumeration."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from cecalc.splitting import (
+    MAX_STRATA_CANDIDATES,
     SplittingType,
     codim_hurwitz4,
     codim_hurwitz5,
     codim_simultaneous,
     constraints_4,
     constraints_5,
-    dual_type,
-    end_type,
     enumerate_strata4,
     h1,
-    hom_type,
     negative_summand_count5,
-    quintic_u_type,
     sym2_type,
     tensor_type,
-    twist_type,
     wedge2_type,
 )
 
@@ -58,6 +55,7 @@ def test_h0_h1_line_bundle_values():
     assert h0([3]) == 4 and h1([3]) == 0
     assert h1([-3]) == 2
     assert h0([-1]) == 0 and h1([-1]) == 0
+    assert h1(d for d in (-3, 0, -1, -2)) == 3  # any iterable, in any order
 
 
 def test_riemann_roch_on_random_types():
@@ -73,12 +71,8 @@ def test_riemann_roch_on_random_types():
 def test_constructors_sort_and_enumerate():
     assert SplittingType([4, 1, 3]).parts == (1, 3, 4)
     assert sym2_type([2, 3, 4]).parts == (4, 5, 6, 6, 7, 8)
-    assert h1(end_type([2, 3, 4])) == 1
     assert wedge2_type([1, 2, 3, 4, 5]).rank == 10
     assert tensor_type([1, 2], [0, 5]).parts == (1, 2, 6, 7)
-    assert dual_type([1, 4]).parts == (-4, -1)
-    assert twist_type([1, 4], -2).parts == (-1, 2)
-    assert hom_type([2, 7], [1]).parts == (-6, -1)
 
 
 def test_sym2_and_wedge2_partition_the_square():
@@ -215,8 +209,44 @@ def test_quintic_u_bundle_has_forty_summands():
     g = 9
     e = random_type_of_degree(random.Random(1), 4, g + 4)
     f = random_type_of_degree(random.Random(2), 5, 2 * g + 8)
-    assert quintic_u_type(e, f, g).rank == 40
+    assert negative_summand_count5(e, f, 3 * g + 30) == 40  # every summand negative
     assert negative_summand_count5(balanced_type(4, 20), balanced_type(5, 40), 16) == 0
+
+
+def _hom_f_sym2_e(e, f):
+    """The 12 summand degrees e_a + e_b - f_l of Hom(f, Sym^2 e), a <= b."""
+    return [e[a] + e[b] - fl for a in range(3) for b in range(a, 3) for fl in f]
+
+
+def _quintic_summands(e, f, g):
+    """The 40 summand degrees e_i + f_j + f_k - (g+4), j < k."""
+    return [ei + f[j] + f[k] - (g + 4) for ei in e for j in range(5) for k in range(j + 1, 5)]
+
+
+def test_flags_match_their_all_summand_definitions():
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(400):
+        e = [rng.randint(-5, 8) for _ in range(3)]  # unsorted, with negative parts
+        f = [rng.randint(-5, 8) for _ in range(2)]
+        u = _hom_f_sym2_e(e, f)
+        flags = constraints_4(e, f)
+        assert flags.in_h_prime == all(d >= -1 for d in u)
+        assert flags.in_h_circ == all(d >= 1 for d in u)
+        seen.add(("4", flags.in_h_prime, flags.in_h_circ))
+    for _ in range(400):
+        g = rng.randint(2, 20)
+        base = (g + 4) // 3
+        e = [base + rng.randint(-4, 4) for _ in range(4)]
+        f = [base + rng.randint(-4, 4) for _ in range(5)]
+        u = _quintic_summands(e, f, g)
+        flags = constraints_5(e, f, g)
+        assert flags.in_h_prime == all(d >= -1 for d in u)
+        assert flags.in_h_circ == (all(d >= 1 for d in u) and min(f) >= 0)
+        assert negative_summand_count5(e, f, g) == sum(1 for d in u if d < 0)
+        seen.add(("5", flags.in_h_prime, flags.in_h_circ))
+    # every reachable combination of the two flags was exercised
+    assert seen == {(k, p, c) for k in "45" for p, c in ((False, False), (True, False), (True, True))}
 
 
 # -- strata enumeration ---------------------------------------------------------------
@@ -263,3 +293,44 @@ def test_enumerate_validates_arguments():
         enumerate_strata4(1)
     with pytest.raises(ValueError, match="filter"):
         enumerate_strata4(6, "everything")
+
+
+def _brute_strata4(genus, filter):
+    """Every sorted candidate, recounted and flagged summand by summand."""
+    d = genus + 3
+    es = [e for e in combinations_with_replacement(range(1, d + 1), 3) if sum(e) == d]
+    fs = [f for f in combinations_with_replacement(range(1, d + 1), 2) if sum(f) == d]
+    rows = []
+    for e in es:
+        for f in fs:
+            u = _hom_f_sym2_e(e, f)
+            flags = (
+                True,  # degrees match and e_1 >= 1 by construction
+                True,
+                2 * e[0] >= f[0],
+                2 * e[1] >= f[1],
+                not (e[0] + e[2] < f[1] and 2 * e[2] <= f[1]),
+                e[0] + e[2] >= f[1],
+                all(x >= -1 for x in u),
+                all(x >= 1 for x in u),
+            )
+            irreducible = all(flags[:5])
+            if filter == "irreducible" and not irreducible:
+                continue
+            if filter == "non_factoring" and not (irreducible and flags[5]):
+                continue
+            rows.append((_recount_quartic(e, f), e, f, flags))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("filter", ["all", "irreducible", "non_factoring"])
+def test_enumeration_matches_a_brute_force_recount(filter):
+    for g in range(2, 41):
+        got = [(r.codim, r.e.parts, r.f.parts, tuple(r.flags)) for r in enumerate_strata4(g, filter)]
+        assert got == _brute_strata4(g, filter), f"genus {g}"
+
+
+def test_enumerate_refuses_an_oversized_search_before_enumerating():
+    # genus 619: 32 240 e types times 311 f types, the first genus over the limit
+    with pytest.raises(ValueError, match=f"10026640 candidate strata, .* {MAX_STRATA_CANDIDATES}"):
+        enumerate_strata4(619, "all")
