@@ -47,8 +47,7 @@ def _emit(result: dict, lines: list[str], as_json: bool) -> None:
 
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
 
 
 def _point_text(point: Sequence[Fraction]) -> str:
@@ -72,10 +71,11 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
         "genus": "symbolic" if genus is None else genus,
         "truncation": truncation,
     }
-    output = {"text": poly.text(), "terms": poly.json_terms()}
+    text = poly.text()
+    output = {"text": text, "terms": poly.json_terms()}
     _emit(
         _result("kappa", inputs, output, CITE["kappa"]),
-        [f"kappa_{args.index} = {poly.text()}"],
+        [f"kappa_{args.index} = {text}"],
         args.json,
     )
     return 0
@@ -99,8 +99,7 @@ def _cmd_curve_class(args: argparse.Namespace) -> int:
     }
     coeffs = {f"zeta^{j}": c.text() for j, c in enumerate(c_class.coeffs)}
     lines = [f"[C] for degree {args.k} covers:"]
-    for j in range(len(c_class.coeffs) - 1, -1, -1):
-        lines.append(f"  zeta^{j}: {c_class.coeffs[j].text()}")
+    lines += [f"  {name}: {text}" for name, text in reversed(coeffs.items())]
     _emit(
         _result("curve-class", inputs, {"coefficients": coeffs}, CITE["curve_class"]),
         lines,
@@ -116,29 +115,29 @@ def _cmd_strata(args: argparse.Namespace) -> int:
         raise ValueError("strata enumeration is implemented for k = 4 only")
     records = splitting.enumerate_strata4(args.genus, args.filter)
     inputs = {"k": 4, "genus": args.genus, "filter": args.filter}
-    rows = []
+    rows = [
+        {
+            "e": r.e.text(),
+            "f": r.f.text(),
+            "codim": r.codim,
+            "irreducible": r.flags.irreducible_ok,
+            "non_factoring": r.flags.non_factoring_ok,
+            "in_H_prime": r.flags.in_h_prime,
+            "in_H_circ": r.flags.in_h_circ,
+        }
+        for r in records
+    ]
     lines = [
         f"degree-4 strata at genus {args.genus} (filter: {args.filter})",
         "e | f | codim | irreducible | non_factoring | H_prime | H_circ",
     ]
-    flag = lambda b: "yes" if b else "no"
-    for r in records:
-        rows.append(
-            {
-                "e": r.e.text(),
-                "f": r.f.text(),
-                "codim": r.codim,
-                "irreducible": r.flags.irreducible_ok,
-                "non_factoring": r.flags.non_factoring_ok,
-                "in_H_prime": r.flags.in_h_prime,
-                "in_H_circ": r.flags.in_h_circ,
-            }
-        )
-        lines.append(
-            f"{r.e.text()} | {r.f.text()} | {r.codim} | "
-            f"{flag(r.flags.irreducible_ok)} | {flag(r.flags.non_factoring_ok)} | "
-            f"{flag(r.flags.in_h_prime)} | {flag(r.flags.in_h_circ)}"
-        )
+    if not args.json:
+        yes = {True: "yes", False: "no"}
+        lines += [
+            f"{row['e']} | {row['f']} | {row['codim']} | {yes[row['irreducible']]} | "
+            f"{yes[row['non_factoring']]} | {yes[row['in_H_prime']]} | {yes[row['in_H_circ']]}"
+            for row in rows
+        ]
     _emit(_result("strata", inputs, {"strata": rows}, CITE["strata"]), lines, args.json)
     return 0
 

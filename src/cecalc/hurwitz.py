@@ -165,11 +165,6 @@ def ce_setup(k: int, genus: Optional[int] = None, truncation: int = 8) -> CESetu
     return CESetup(degree=k, genus=genus, ring=ring, e_char=e_char, f_char=f_char)
 
 
-def zeta_ring(setup: CESetup) -> ZetaRing:
-    """The ring of P(E^v) over the setup's P^1-bundle."""
-    return ZetaRing(setup.e_char)
-
-
 def curve_class(setup: CESetup, zring: Optional[ZetaRing] = None) -> ZetaClass:
     """The class of the universal curve in P(E^v), of degree k-2.
 
@@ -182,7 +177,7 @@ def curve_class(setup: CESetup, zring: Optional[ZetaRing] = None) -> ZetaClass:
     """
     k = setup.degree
     if zring is None:
-        zring = zeta_ring(setup)
+        zring = ZetaRing(setup.e_char)
     det_e = det(setup.e_char)
     if k == 3:
         terms = [(-1, det_e, -3)]
@@ -216,7 +211,7 @@ def kappa(setup: CESetup, i: int) -> KappaResult:
             f"truncation {setup.ring.truncation} too small for kappa_{i} "
             f"at degree {k} (needs > {needed})"
         )
-    zring = zeta_ring(setup)
+    zring = ZetaRing(setup.e_char)
     c_class = curve_class(setup, zring)
     omega = zring.zeta_power(1) - zring.of_fiber(FiberClass.z(setup.ring) * 2)
     total = c_class * omega ** (i + 1)

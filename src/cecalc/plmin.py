@@ -42,6 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
+from numbers import Real
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -629,10 +630,6 @@ def preset_solution(name: str) -> PLSolution:
     return solve(preset(name))
 
 
-def preset_minimum(name: str) -> Fraction:
-    return preset_solution(name).min_value
-
-
 def bound(k: int, genus: int, case: str) -> Fraction:
     """Codimension lower bound assembled from the solver output.
 
@@ -647,10 +644,10 @@ def bound(k: int, genus: int, case: str) -> Fraction:
         raise ValueError(f"case must be B_circ or H_circ, got {case!r}")
     if k == 4:
         name = "lemma_b4" if case == "B_circ" else "lemma_coh4"
-        return (genus + 3) * preset_minimum(name) - 4
+        return (genus + 3) * preset_solution(name).min_value - 4
     if k == 5:
         name = "lemma_b5circ" if case == "B_circ" else "lemma_coh5"
-        return (genus + 4) * preset_minimum(name) - 16
+        return (genus + 4) * preset_solution(name).min_value - 16
     raise ValueError(f"bounds are defined for k in (4, 5), got {k}")
 
 
@@ -677,24 +674,46 @@ def program_to_json(p: PLProgram) -> dict:
     }
 
 
+_SCALAR = (Real, str)  # JSON numbers and "p/q" strings
+
+
+def _field(obj: object, key: str, kind, default=None):
+    """``obj[key]`` (or ``default`` if absent); ValueError naming the key
+    when ``obj`` is not an object or the value is missing or not a ``kind``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"spec: expected an object with key {key!r}, got {type(obj).__name__}")
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"spec: missing key {key!r}")
+        return default
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"spec: key {key!r} has the wrong type {type(obj[key]).__name__}")
+    return obj[key]
+
+
 def program_from_json(data: dict) -> PLProgram:
-    n = int(data["vars"])
+    """The program of a ``--spec-file`` document; ValueError if it is malformed."""
+    n = int(_field(data, "vars", _SCALAR))
 
     def row(values: Sequence) -> tuple[list[Fraction], Fraction]:
-        if len(values) != n + 1:
-            raise ValueError(f"constraint row has {len(values)} entries, expected {n + 1}")
+        if not isinstance(values, list) or len(values) != n + 1:
+            raise ValueError(f"spec: constraint row {values!r} needs {n + 1} entries")
         nums = [Fraction(str(v)) for v in values]
         return nums[:n], nums[n]
 
-    obj = data.get("obj", {})
+    obj = _field(data, "obj", dict, {})
     return program(
         num_vars=n,
-        equalities=[row(r) for r in data.get("eq", [])],
-        inequalities=[row(r) for r in data.get("le", [])],
-        objective_linear=[Fraction(str(v)) for v in obj.get("lin", [0] * n)],
+        equalities=[row(r) for r in _field(data, "eq", list, [])],
+        inequalities=[row(r) for r in _field(data, "le", list, [])],
+        objective_linear=[Fraction(str(v)) for v in _field(obj, "lin", list, [0] * n)],
         objective_const=Fraction(str(obj.get("const", 0))),
         hinges=[
-            (int(h["sign"]), [Fraction(str(v)) for v in h["coeffs"]], Fraction(str(h["rhs"])))
-            for h in obj.get("hinges", [])
+            (
+                int(_field(h, "sign", _SCALAR)),
+                [Fraction(str(v)) for v in _field(h, "coeffs", list)],
+                Fraction(str(_field(h, "rhs", _SCALAR))),
+            )
+            for h in _field(obj, "hinges", list, [])
         ],
     )

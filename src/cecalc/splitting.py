@@ -1,11 +1,12 @@
 """Splitting types of vector bundles on P^1 and stratum codimensions.
 
 Every bundle on P^1 is a sum of line bundles O(e_1) + ... + O(e_r); the
-non-decreasing integer vector (e_1, ..., e_r) is its splitting type.  All
-tensor-algebra constructions act summand-wise, and every summand degree of
-a derived bundle is a linear form in the parts, so its h^1 is a short
-integer sum over those forms.  The codimension of the locus where a family
-degenerates to given splitting types is an explicit alternating h^1 count:
+non-decreasing integer vector (e_1, ..., e_r) is its splitting type, a
+``SplittingType``: the sorted tuple of the parts.  All tensor-algebra
+constructions act summand-wise, and every summand degree of a derived
+bundle is a linear form in the parts, so its h^1 is a short integer sum
+over those forms.  The codimension of the locus where a family degenerates
+to given splitting types is an explicit alternating h^1 count:
 
   * simultaneous splitting locus of a pair:  h1(End e) + h1(End f)
   * degree-4 covers:   h1(End e) + h1(End f) - h1(Hom(f, Sym^2 e))
@@ -23,51 +24,33 @@ table of a given genus.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-TypeLike = Union["SplittingType", Sequence[int]]
+TypeLike = Sequence[int]
 
 
-class SplittingType:
-    """A non-decreasing integer vector; sorts its input on construction."""
+class SplittingType(tuple):
+    """A splitting type: the sorted tuple of its int-coerced parts."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int]):
-        self.parts = tuple(sorted(int(e) for e in parts))
+    def __new__(cls, parts: Iterable[int]):
+        return super().__new__(cls, sorted(int(e) for e in parts))
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def rank(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     @property
     def degree(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SplittingType):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __lt__(self, other: "SplittingType") -> bool:
-        return self.parts < other.parts
+        return sum(self)
 
     def text(self) -> str:
-        return ",".join(str(e) for e in self.parts)
+        return ",".join(map(str, self))
 
     @classmethod
     def parse(cls, s: str) -> "SplittingType":
@@ -307,5 +290,5 @@ def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRe
                 records.append(
                     StratumRecord(e=e, f=f, codim=codim_hurwitz4(e, f), flags=flags)
                 )
-    records.sort(key=lambda r: (r.codim, r.e.parts, r.f.parts))
+    records.sort(key=lambda r: (r.codim, r.e, r.f))
     return records

@@ -59,6 +59,25 @@ def test_json_contains_the_same_numbers_as_text(capsys):
     assert doc["citations"] == ["quintic-codim-formula"]
 
 
+@pytest.mark.parametrize("filter", ["all", "irreducible", "non_factoring"])
+def test_strata_text_rows_render_the_json_rows(capsys, filter):
+    args = ["strata", "-k", "4", "-g", "8", "--filter", filter]
+    code, text = run_cli(capsys, args)
+    assert code == 0
+    code, raw = run_cli(capsys, args + ["--json"])
+    assert code == 0
+    rows = json.loads(raw)["output"]["strata"]
+    yes = {True: "yes", False: "no"}
+    want = [
+        f"{r['e']} | {r['f']} | {r['codim']} | {yes[r['irreducible']]} | "
+        f"{yes[r['non_factoring']]} | {yes[r['in_H_prime']]} | {yes[r['in_H_circ']]}"
+        for r in rows
+    ]
+    lines = text.splitlines()
+    assert lines[0] == f"degree-4 strata at genus 8 (filter: {filter})"
+    assert lines[2:] == want and len(want) > 0
+
+
 def test_kappa_json_round_trips(capsys):
     code, raw = run_cli(capsys, ["kappa", "-k", "4", "-i", "0", "--symbolic", "--json"])
     assert code == 0
@@ -121,6 +140,24 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main(["minimize", "--spec-file", str(path)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ({}, "'vars'"),
+        ([1], "'vars', got list"),
+        ({"vars": 1, "le": [["-1", "0"]], "obj": []}, "'obj' has the wrong type list"),
+        ({"vars": 1, "obj": {"hinges": [{"coeffs": ["1"], "rhs": "0"}]}}, "missing key 'sign'"),
+    ],
+    ids=["no_vars", "not_an_object", "obj_not_an_object", "hinge_without_sign"],
+)
+def test_malformed_spec_file_exits_2(tmp_path, capsys, spec, key):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    assert main(["minimize", "--spec-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
 
 
 def test_unbounded_program_exits_3(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cecalc.bundles import FiberClass, chern_of, dual, push_gamma
+from cecalc.bundles import FiberClass, ZetaRing, chern_of, dual, push_gamma
 from cecalc.hurwitz import (
     ce_rank,
     ce_setup,
@@ -10,7 +10,6 @@ from cecalc.hurwitz import (
     kappa,
     kappa_value,
     presentation,
-    zeta_ring,
 )
 
 
@@ -67,7 +66,7 @@ def test_setup_rejects_bad_degree_and_truncation():
 
 def test_trigonal_curve_class_closed_form():
     s = ce_setup(3, genus=None, truncation=5)
-    zr = zeta_ring(s)
+    zr = ZetaRing(s.e_char)
     got = curve_class(s, zr)
     c1e = chern_of(s.e_char)[0]
     want = zr.zeta_power(1) * 3 - zr.of_fiber(c1e)  # 3 zeta - c1(E)
@@ -77,7 +76,7 @@ def test_trigonal_curve_class_closed_form():
 def test_quartic_curve_class_is_twisted_second_chern_class():
     # c2(F^v(2)) = c2(F^v) + 2 zeta c1(F^v) + 4 zeta^2
     s = ce_setup(4, genus=None, truncation=6)
-    zr = zeta_ring(s)
+    zr = ZetaRing(s.e_char)
     fv = chern_of(dual(s.f_char))
     want = (
         zr.zeta_power(2) * 4

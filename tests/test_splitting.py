@@ -75,6 +75,22 @@ def test_constructors_sort_and_enumerate():
     assert tensor_type([1, 2], [0, 5]).parts == (1, 2, 6, 7)
 
 
+def test_splitting_type_is_the_sorted_tuple():
+    t = SplittingType([3, 1, 2])
+    assert t == (1, 2, 3) and (1, 2, 3) == t
+    assert hash(t) == hash((1, 2, 3))
+    assert {(1, 2, 3): "x"}[t] == "x" and {t: "y"}[(1, 2, 3)] == "y"
+    assert t != [1, 2, 3]
+    assert type(t.parts) is tuple and t.parts == (1, 2, 3)
+    assert (1, 2) < t < (1, 2, 4) < SplittingType([9, 2, 1])
+    assert sorted([SplittingType([2, 2]), t, (0, 5)]) == [(0, 5), (1, 2, 3), (2, 2)]
+    for parts in ([3, 1, 2], [-4, 0, -1, 7], [-2]):
+        s = SplittingType(parts)
+        assert SplittingType.parse(s.text()) == s
+        assert type(SplittingType.parse(s.text())) is SplittingType
+    assert SplittingType([-4, 0, -1, 7]).text() == "-4,-1,0,7"
+
+
 def test_sym2_and_wedge2_partition_the_square():
     rng = random.Random(8)
     for _ in range(100):
