@@ -7,91 +7,69 @@ are exact "p/q" strings.  Identical inputs give byte-identical output.
 Exit codes: 0 success, 2 invalid arguments, 3 mathematically infeasible or
 unbounded program, 1 any other computation failure.
 
-Each handler imports the layers it uses, so a command loads only those.
+Each handler maps the parsed arguments to its report ``(inputs, output,
+lines)``: the JSON document's two dicts and the text report's lines.  Only
+``main`` prints, and it alone builds the JSON document.  Each handler
+imports the layers it uses, so a command loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
-# Stable identifiers for the formula each number comes from; the README's
-# "formula register" section spells out what each one computes.
+# Stable identifiers for the formula each number comes from, by command (and k
+# for splitting-codim); the README's "formula register" spells each one out.
 CITE = {
     "kappa": ["kappa-pushforward", "curve-class-expansion"],
-    "curve_class": ["curve-class-expansion"],
+    "curve-class": ["curve-class-expansion"],
     "strata": ["quartic-codim-formula", "quartic-cover-constraints"],
-    "codim4": ["quartic-codim-formula"],
-    "codim5": ["quintic-codim-formula"],
+    ("splitting-codim", 4): ["quartic-codim-formula"],
+    ("splitting-codim", 5): ["quintic-codim-formula"],
     "minimize": ["pl-vertex-minimum"],
     "bound": ["pl-vertex-minimum", "codim-bound-assembly"],
     "presentation": ["ce-generators", "free-truncation-bound"],
-    "ce_rank": ["ce-resolution-ranks"],
+    "ce-rank": ["ce-resolution-ranks"],
 }
 
-
-def _result(command: str, inputs: dict, output: dict, citations: list[str]) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "output": output,
-        "citations": citations,
-    }
+Report = tuple[dict, dict, list[str]]
 
 
-def _emit(result: dict, lines: list[str], as_json: bool) -> None:
-    if as_json:
-        import json
-
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
-
-
-def _point_text(point: Sequence[Fraction]) -> str:
-    return "(" + ", ".join(str(v) for v in point) + ")"
+def _genus(args: argparse.Namespace) -> Optional[int]:
+    """The --genus value, or None (a symbolic genus) under --symbolic."""
+    if args.symbolic:
+        return None
+    if args.genus is None:
+        raise ValueError("provide --genus G or --symbolic")
+    return args.genus
 
 
 # -- command handlers ----------------------------------------------------------
 
 
-def _cmd_kappa(args: argparse.Namespace) -> int:
+def _cmd_kappa(args: argparse.Namespace) -> Report:
     from . import hurwitz
 
-    genus = None if args.symbolic else args.genus
-    if not args.symbolic and genus is None:
-        raise ValueError("provide --genus G or --symbolic")
-    truncation = args.truncation or (args.index + args.k + 2)
-    poly = hurwitz.kappa_value(args.k, args.index, genus, truncation)
+    genus = _genus(args)
+    poly = hurwitz.kappa_value(args.k, args.index, genus, args.truncation)
     inputs = {
         "k": args.k,
         "i": args.index,
         "genus": "symbolic" if genus is None else genus,
-        "truncation": truncation,
+        "truncation": poly.ring.truncation,
     }
     text = poly.text()
     output = {"text": text, "terms": poly.json_terms()}
-    _emit(
-        _result("kappa", inputs, output, CITE["kappa"]),
-        [f"kappa_{args.index} = {text}"],
-        args.json,
-    )
-    return 0
+    return inputs, output, [f"kappa_{args.index} = {text}"]
 
 
-def _cmd_curve_class(args: argparse.Namespace) -> int:
+def _cmd_curve_class(args: argparse.Namespace) -> Report:
     from . import hurwitz
 
-    genus = None if args.symbolic else args.genus
-    if not args.symbolic and genus is None:
-        raise ValueError("provide --genus G or --symbolic")
-    truncation = args.truncation or (args.k + 2)
-    # [C] has degree k-2 and the zeta relation needs truncation > k-1, so
-    # truncation k holds it; a smaller one raises the setup's own error.
-    setup = hurwitz.ce_setup(args.k, genus, min(truncation, args.k))
-    c_class = hurwitz.curve_class(setup)
+    genus = _genus(args)
+    truncation = args.k + 2 if args.truncation is None else args.truncation
+    c_class = hurwitz.curve_class_value(args.k, genus, truncation)
     inputs = {
         "k": args.k,
         "genus": "symbolic" if genus is None else genus,
@@ -100,15 +78,10 @@ def _cmd_curve_class(args: argparse.Namespace) -> int:
     coeffs = {f"zeta^{j}": c.text() for j, c in enumerate(c_class.coeffs)}
     lines = [f"[C] for degree {args.k} covers:"]
     lines += [f"  {name}: {text}" for name, text in reversed(coeffs.items())]
-    _emit(
-        _result("curve-class", inputs, {"coefficients": coeffs}, CITE["curve_class"]),
-        lines,
-        args.json,
-    )
-    return 0
+    return inputs, {"coefficients": coeffs}, lines
 
 
-def _cmd_strata(args: argparse.Namespace) -> int:
+def _cmd_strata(args: argparse.Namespace) -> Report:
     from . import splitting
 
     if args.k != 4:
@@ -138,52 +111,38 @@ def _cmd_strata(args: argparse.Namespace) -> int:
             f"{yes[row['non_factoring']]} | {yes[row['in_H_prime']]} | {yes[row['in_H_circ']]}"
             for row in rows
         ]
-    _emit(_result("strata", inputs, {"strata": rows}, CITE["strata"]), lines, args.json)
-    return 0
+    return inputs, {"strata": rows}, lines
 
 
-def _cmd_splitting_codim(args: argparse.Namespace) -> int:
+def _cmd_splitting_codim(args: argparse.Namespace) -> Report:
     from . import splitting
 
     e = splitting.SplittingType.parse(args.e)
     f = splitting.SplittingType.parse(args.f)
+    inputs = {"k": args.k, "e": e.text(), "f": f.text()}
     if args.k == 4:
         codim = splitting.codim_hurwitz4(e, f)
-        cite = CITE["codim4"]
-    elif args.k == 5:
+    else:
         if args.genus is None:
             raise ValueError("k = 5 needs --genus")
         codim = splitting.codim_hurwitz5(e, f, args.genus)
-        cite = CITE["codim5"]
-    else:
-        raise ValueError("splitting-codim is defined for k in (4, 5)")
-    inputs = {"k": args.k, "e": e.text(), "f": f.text()}
-    if args.k == 5:
         inputs["genus"] = args.genus
-    _emit(
-        _result("splitting-codim", inputs, {"codim": codim}, cite),
-        [f"codim = {codim}"],
-        args.json,
-    )
-    return 0
+    return inputs, {"codim": codim}, [f"codim = {codim}"]
 
 
-def _cmd_minimize(args: argparse.Namespace) -> int:
+def _cmd_minimize(args: argparse.Namespace) -> Report:
     from . import plmin
 
     if bool(args.preset) == bool(args.spec_file):
         raise ValueError("provide exactly one of --preset or --spec-file")
     if args.preset:
         prog = plmin.preset(args.preset)
-        source = args.preset
     else:
         import json
 
         with open(args.spec_file) as fh:
             prog = plmin.program_from_json(json.load(fh))
-        source = args.spec_file
     solution = plmin.solve(prog)
-    inputs = {"source": source}
     output = {
         "min": str(solution.min_value),
         "argmin": [[str(v) for v in pt] for pt in solution.argmin_points],
@@ -194,29 +153,19 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         "infeasible": solution.infeasible,
         "feasible": solution.feasible,
     }
-    pts = ", ".join(_point_text(pt) for pt in solution.argmin_points)
-    _emit(
-        _result("minimize", inputs, output, CITE["minimize"]),
-        [f"min = {solution.min_value} at [{pts}]"],
-        args.json,
-    )
-    return 0
+    pts = ", ".join("(" + ", ".join(point) + ")" for point in output["argmin"])
+    return {"source": args.preset or args.spec_file}, output, [f"min = {output['min']} at [{pts}]"]
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> Report:
     from . import plmin
 
     value = plmin.bound(args.k, args.genus, args.case)
     inputs = {"k": args.k, "genus": args.genus, "case": args.case}
-    _emit(
-        _result("bound", inputs, {"bound": str(value)}, CITE["bound"]),
-        [f"bound = {value}"],
-        args.json,
-    )
-    return 0
+    return inputs, {"bound": str(value)}, [f"bound = {value}"]
 
 
-def _cmd_presentation(args: argparse.Namespace) -> int:
+def _cmd_presentation(args: argparse.Namespace) -> Report:
     from . import hurwitz
 
     generators, degree_bound = hurwitz.presentation(args.k, args.genus)
@@ -226,28 +175,15 @@ def _cmd_presentation(args: argparse.Namespace) -> int:
         "free_below_degree": degree_bound,
     }
     gen_text = ", ".join(f"{n}:{d}" for n, d in generators)
-    _emit(
-        _result("presentation", inputs, output, CITE["presentation"]),
-        [
-            f"generators: {gen_text}",
-            f"no relations below degree {degree_bound}",
-        ],
-        args.json,
-    )
-    return 0
+    lines = [f"generators: {gen_text}", f"no relations below degree {degree_bound}"]
+    return inputs, output, lines
 
 
-def _cmd_ce_rank(args: argparse.Namespace) -> int:
+def _cmd_ce_rank(args: argparse.Namespace) -> Report:
     from . import hurwitz
 
     rank = hurwitz.ce_rank(args.index, args.k)
-    inputs = {"k": args.k, "i": args.index}
-    _emit(
-        _result("ce-rank", inputs, {"rank": rank}, CITE["ce_rank"]),
-        [f"rank(F_{args.index}) = {rank}"],
-        args.json,
-    )
-    return 0
+    return {"k": args.k, "i": args.index}, {"rank": rank}, [f"rank(F_{args.index}) = {rank}"]
 
 
 # -- parser ----------------------------------------------------------------
@@ -344,7 +280,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        inputs, output, lines = args.handler(args)
+        if args.json:
+            import json
+
+            doc = {
+                "command": args.command,
+                "inputs": inputs,
+                "output": output,
+                "citations": CITE.get(args.command) or CITE[args.command, args.k],
+            }
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        return 0
     except _no_solution_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

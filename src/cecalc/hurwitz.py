@@ -31,7 +31,6 @@ from .bundles import (
     ZetaClass,
     ZetaRing,
     chern_from_parts,
-    chern_of,
     det,
     dual,
     push_gamma,
@@ -217,6 +216,16 @@ def kappa(setup: CESetup, i: int) -> KappaResult:
     total = c_class * omega ** (i + 1)
     poly = push_pi(push_gamma(total))
     return KappaResult(index=i, degree=k, polynomial=poly)
+
+
+def curve_class_value(k: int, genus: Union[int, None], truncation: int) -> ZetaClass:
+    """Build a setup and return [C] for degree k.
+
+    [C] has degree k-2 and the zeta relation needs truncation > k-1, so it
+    is computed at truncation k for every T >= k and does not depend on T; a
+    smaller T raises the setup's or the zeta relation's own error.
+    """
+    return curve_class(ce_setup(k, genus, min(truncation, k)))
 
 
 def kappa_value(k: int, i: int, genus: Union[int, None], truncation: Optional[int] = None) -> GradedPoly:

@@ -691,9 +691,21 @@ def _field(obj: object, key: str, kind, default=None):
     return obj[key]
 
 
+def _int_field(obj: object, key: str) -> int:
+    """``obj[key]`` as an int: an integral number or numeric string, not a bool."""
+    value = _field(obj, key, _SCALAR)
+    try:
+        q = Fraction(str(value))  # str(True) is not a number, so bools fail here
+    except ValueError:
+        q = None
+    if q is None or q.denominator != 1:
+        raise ValueError(f"spec: key {key!r} must be an integer, got {value!r}")
+    return int(q)
+
+
 def program_from_json(data: dict) -> PLProgram:
     """The program of a ``--spec-file`` document; ValueError if it is malformed."""
-    n = int(_field(data, "vars", _SCALAR))
+    n = _int_field(data, "vars")
 
     def row(values: Sequence) -> tuple[list[Fraction], Fraction]:
         if not isinstance(values, list) or len(values) != n + 1:
@@ -710,7 +722,7 @@ def program_from_json(data: dict) -> PLProgram:
         objective_const=Fraction(str(obj.get("const", 0))),
         hinges=[
             (
-                int(_field(h, "sign", _SCALAR)),
+                _int_field(h, "sign"),
                 [Fraction(str(v)) for v in _field(h, "coeffs", list)],
                 Fraction(str(_field(h, "rhs", _SCALAR))),
             )

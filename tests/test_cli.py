@@ -1,7 +1,9 @@
 """Command-line surface: golden outputs, JSON mode, exit codes, determinism."""
 
+import argparse
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -10,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from cecalc.cli import main
+from cecalc.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -57,6 +60,39 @@ def test_json_contains_the_same_numbers_as_text(capsys):
     assert doc["command"] == "splitting-codim"
     assert f"codim = {doc['output']['codim']}\n" == text
     assert doc["citations"] == ["quintic-codim-formula"]
+
+
+def formula_register():
+    """The backticked identifiers of the README's "Formula register" section."""
+    section = README.read_text().split("### Formula register", 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"`([^`]+)`", section))
+
+
+ENVELOPE_CASES = [
+    ["kappa", "-k", "3", "-i", "0", "--genus", "7"],
+    ["curve-class", "-k", "3", "--symbolic"],
+    ["strata", "-k", "4", "-g", "4"],
+    ["splitting-codim", "-k", "4", "--e", "1,4,4", "--f", "2,7"],
+    ["minimize", "--preset", "lemma_b4"],
+    ["bound", "-k", "4", "-g", "10", "--case", "B_circ"],
+    ["presentation", "-k", "4", "-g", "6"],
+    ["ce-rank", "-k", "5", "-i", "2"],
+]
+
+
+def test_envelope_cases_cover_every_command():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in ENVELOPE_CASES) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("argv", ENVELOPE_CASES, ids=lambda argv: argv[0])
+def test_json_envelope_names_the_command_and_registered_formulas(capsys, argv):
+    code, raw = run_cli(capsys, argv + ["--json"])
+    assert code == 0
+    doc = json.loads(raw)
+    assert set(doc) == {"command", "inputs", "output", "citations"}
+    assert doc["command"] == argv[0]
+    assert doc["citations"] and set(doc["citations"]) <= formula_register()
 
 
 @pytest.mark.parametrize("filter", ["all", "irreducible", "non_factoring"])
@@ -129,6 +165,19 @@ def test_truncation_is_echoed_and_does_not_change_the_output(capsys):
     assert "truncation 5 too small for kappa_2 at degree 4 (needs > 5)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("truncation", ["0", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["kappa", "-k", "3", "-i", "0", "--genus", "7"], ["curve-class", "-k", "4", "--symbolic"]],
+    ids=lambda argv: argv[0],
+)
+def test_truncation_below_2_exits_2(capsys, argv, truncation):
+    assert main(argv + ["--truncation", truncation, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: truncation must be >= 2, got {truncation}" in err
+
+
 def test_infeasible_program_exits_3(tmp_path, capsys):
     spec = {
         "vars": 1,
@@ -149,8 +198,27 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
         ([1], "'vars', got list"),
         ({"vars": 1, "le": [["-1", "0"]], "obj": []}, "'obj' has the wrong type list"),
         ({"vars": 1, "obj": {"hinges": [{"coeffs": ["1"], "rhs": "0"}]}}, "missing key 'sign'"),
+        (
+            {"vars": 1.7, "obj": {"hinges": [{"sign": 1.9, "coeffs": ["1"], "rhs": "0"}]}},
+            "'vars' must be an integer, got 1.7",
+        ),
+        ({"vars": True, "le": [["-1", "0"]], "obj": {"lin": ["1"]}}, "'vars' must be an integer"),
+        ({"vars": "3/2", "le": [["-1", "0"]]}, "'vars' must be an integer, got '3/2'"),
+        (
+            {"vars": 1, "obj": {"hinges": [{"sign": 1.9, "coeffs": ["1"], "rhs": "0"}]}},
+            "'sign' must be an integer, got 1.9",
+        ),
     ],
-    ids=["no_vars", "not_an_object", "obj_not_an_object", "hinge_without_sign"],
+    ids=[
+        "no_vars",
+        "not_an_object",
+        "obj_not_an_object",
+        "hinge_without_sign",
+        "fractional_vars_and_sign",
+        "boolean_vars",
+        "ratio_vars",
+        "fractional_sign",
+    ],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, spec, key):
     path = tmp_path / "malformed.json"
@@ -210,6 +278,21 @@ def test_spec_file_solves_like_preset(tmp_path, capsys):
     path.write_text(json.dumps(program_to_json(preset("lemma_b4"))))
     _, from_file = run_cli(capsys, ["minimize", "--spec-file", str(path)])
     _, from_preset = run_cli(capsys, ["minimize", "--preset", "lemma_b4"])
+    assert from_file == from_preset
+
+
+@pytest.mark.parametrize("spell", [str, float], ids=["string", "float"])
+def test_spec_file_accepts_integral_vars_and_sign_in_any_spelling(tmp_path, capsys, spell):
+    from cecalc.plmin import preset, program_to_json
+
+    doc = program_to_json(preset("lemma_coh4"))  # two -1 hinges
+    doc["vars"] = spell(doc["vars"])
+    for hinge in doc["obj"]["hinges"]:
+        hinge["sign"] = spell(hinge["sign"])
+    path = tmp_path / "coh4.json"
+    path.write_text(json.dumps(doc))
+    _, from_file = run_cli(capsys, ["minimize", "--spec-file", str(path)])
+    _, from_preset = run_cli(capsys, ["minimize", "--preset", "lemma_coh4"])
     assert from_file == from_preset
 
 

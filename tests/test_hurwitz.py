@@ -7,6 +7,7 @@ from cecalc.hurwitz import (
     ce_rank,
     ce_setup,
     curve_class,
+    curve_class_value,
     kappa,
     kappa_value,
     presentation,
@@ -156,6 +157,17 @@ def test_curve_class_at_the_smallest_truncation_matches_a_larger_one(k, genus):
         assert a.base.retruncate(ring) == b.base
         assert a.zpart.retruncate(ring) == b.zpart
         assert a.text() == b.text()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_curve_class_value_is_the_class_at_truncation_k(k):
+    want = curve_class(ce_setup(k, None, k))
+    for truncation in (k, k + 2, k + 5):
+        got = curve_class_value(k, None, truncation)
+        for a, b in zip(got.coeffs, want.coeffs, strict=True):
+            assert a.base == b.base and a.zpart == b.zpart
+    with pytest.raises(ValueError, match="truncation must be >= 2, got 0"):
+        curve_class_value(k, None, 0)
 
 
 def test_kappa_value_rejects_too_small_truncation_like_kappa():
