@@ -14,9 +14,10 @@ Three spaces appear, stacked over a base B whose Chow ring is a truncated
     the pushforward gamma_* reads off the zeta^{r-1} coefficient.
 
 Vector bundles on P are carried around as Chern characters (``BundleChar``):
-rank plus graded pieces.  Chern classes are views, converted to and from
-characters by Newton's identities.  Tensor, dual, det, Adams, Sym^2 and
-wedge^2 are all character-level formulas.
+one element rank + ch_1 + ch_2 + ... of A*(P), whose graded pieces are
+views.  Chern classes are converted to and from characters by Newton's
+identities.  Tensor is the ring product, dual and Adams are psi^k (degree d
+scaled by k^d), and Sym^2, wedge^2 are (ch^2 +- psi^2 ch) / 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence, Union
 
-from .gring import GradedPoly, RingSpec, Scalar
+from .gring import GradedPoly, RingSpec, Scalar, _trusted
 
 
 class FiberClass:
@@ -143,52 +144,57 @@ def fiber_exp(c: FiberClass) -> FiberClass:
 
 
 class BundleChar:
-    """Chern character of a bundle on P: integer rank plus graded pieces.
+    """Chern character of a bundle on P: one element ``total`` of A*(P).
 
-    ``pieces[d]`` is the degree-(d+1) piece ch_{d+1}, a homogeneous
-    FiberClass; the list always has length D-1 for truncation order D.
+    ``total`` is rank + ch_1 + ch_2 + ..., so the ring's truncated product
+    and sum are the tensor product and direct sum of bundles.  ``parts[d]``
+    is the homogeneous degree-d part ch_d for d < D (truncation order D),
+    split off in one pass; z-terms of total degree D, which ``FiberClass``
+    still carries, are dropped there, and equality compares the parts.
+    ``rank`` is the constant ch_0 and ``pieces`` is ch_1, ..., ch_{D-1}.
     """
 
-    __slots__ = ("ring", "rank", "pieces")
+    __slots__ = ("ring", "total", "parts", "rank")
 
-    def __init__(self, ring: RingSpec, rank: int, pieces: Sequence[FiberClass]):
-        want = ring.truncation - 1
-        pieces = list(pieces)
-        if len(pieces) != want:
-            raise ValueError(f"need {want} character pieces, got {len(pieces)}")
+    def __init__(self, total: FiberClass):
+        ring = total.ring
+        top = ring.truncation
+        wdeg = ring.weighted_degree
+        base: list[dict] = [{} for _ in range(top)]
+        zpart: list[dict] = [{} for _ in range(top)]
+        for e, c in total.base.terms.items():
+            base[wdeg(e)][e] = c
+        for e, c in total.zpart.terms.items():
+            d = wdeg(e) + 1
+            if d < top:
+                zpart[d][e] = c
         self.ring = ring
-        self.rank = int(rank)
-        self.pieces = tuple(pieces)
+        self.total = total
+        # Each bucket is a subset of a normalized term map, so it is one too.
+        self.parts = tuple(
+            FiberClass(_trusted(ring, b), _trusted(ring, z)) for b, z in zip(base, zpart)
+        )
+        self.rank = int(base[0].get((0,) * len(ring.names), 0))
 
     @classmethod
     def trivial(cls, ring: RingSpec, rank: int) -> "BundleChar":
-        zero = FiberClass.zero(ring)
-        return cls(ring, rank, [zero] * (ring.truncation - 1))
+        return cls(FiberClass.const(ring, rank))
 
-    @classmethod
-    def from_total(cls, ring: RingSpec, rank: int, total: FiberClass) -> "BundleChar":
-        """Split a full character (with ch_0 = rank) into graded pieces."""
-        return cls(
-            ring, rank, [total.degree_part(d) for d in range(1, ring.truncation)]
-        )
+    @property
+    def pieces(self) -> tuple[FiberClass, ...]:
+        return self.parts[1:]
 
     def ch(self, degree: int) -> FiberClass:
         """The degree-d character piece (d = 0 gives the rank)."""
-        if degree == 0:
-            return FiberClass.const(self.ring, self.rank)
-        return self.pieces[degree - 1]
+        return self.parts[degree]
 
     def __add__(self, other: "BundleChar") -> "BundleChar":
-        return BundleChar(
-            self.ring,
-            self.rank + other.rank,
-            [a + b for a, b in zip(self.pieces, other.pieces)],
-        )
+        return BundleChar(self.total + other.total)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BundleChar):
             return NotImplemented
-        return self.rank == other.rank and self.pieces == other.pieces
+        return self.parts == other.parts
 
     __hash__ = None
 
@@ -196,14 +202,14 @@ class BundleChar:
         return f"BundleChar(rank={self.rank}, ch1={self.pieces[0].text() if self.pieces else '-'})"
 
 
-def line_bundle(ring: RingSpec, c1: FiberClass) -> BundleChar:
+def line_bundle(c1: FiberClass) -> BundleChar:
     """Line bundle with the given first Chern class: ch = exp(c1)."""
-    return BundleChar.from_total(ring, 1, fiber_exp(c1))
+    return BundleChar(fiber_exp(c1))
 
 
 def o_z(ring: RingSpec, n: int) -> BundleChar:
     """The relative line bundle O(n z) on P."""
-    return line_bundle(ring, FiberClass.z(ring) * n)
+    return line_bundle(FiberClass.z(ring) * n)
 
 
 def chern_from_parts(
@@ -212,8 +218,9 @@ def chern_from_parts(
     """Build a character from Chern-class data c_i = a_i + a_i' z.
 
     ``parts[i-1]`` is the pair (a_i, a_i'); a_i must be homogeneous of
-    degree i and a_i' of degree i-1.  Newton's identities convert the
-    elementary-symmetric data to power sums p_d, and ch_d = p_d / d!.
+    degree i and a_i' of degree i-1.  Newton's identities
+    p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k give the power
+    sums, and ch = rank + sum_k p_k / k!.
     """
     if len(parts) > rank:
         raise ValueError(f"got {len(parts)} Chern classes for rank {rank}")
@@ -223,25 +230,16 @@ def chern_from_parts(
         if not c.is_homogeneous(i):
             raise ValueError(f"c_{i} data is not homogeneous of degree {i}")
         cs.append(c)
-    return _char_from_chern(ring, cs, rank)
-
-
-def _char_from_chern(ring: RingSpec, cs: list[FiberClass], rank: int) -> BundleChar:
-    """Newton: p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k."""
-    zero = FiberClass.zero(ring)
-    top = ring.truncation - 1
-    c = lambda i: cs[i] if i < len(cs) else zero
-    p: list[FiberClass] = [FiberClass.const(ring, rank)]
-    for k in range(1, top + 1):
-        acc = FiberClass.zero(ring)
-        for i in range(1, k):
-            term = c(i) * p[k - i]
-            acc = acc + (term if i % 2 == 1 else -term)
-        tail = c(k) * k
-        acc = acc + (tail if k % 2 == 1 else -tail)
+    p = [FiberClass.const(ring, rank)]
+    total = p[0]
+    for k in range(1, ring.truncation):
+        acc = cs[k] * ((-1) ** (k - 1) * k) if k < len(cs) else FiberClass.zero(ring)
+        for i in range(1, min(k, len(cs))):
+            term = cs[i] * p[k - i]
+            acc = acc + term if i % 2 == 1 else acc - term
         p.append(acc)
-    pieces = [p[k] * Fraction(1, factorial(k)) for k in range(1, top + 1)]
-    return BundleChar(ring, rank, pieces)
+        total = total + acc * Fraction(1, factorial(k))
+    return BundleChar(total)
 
 
 def chern_of(b: BundleChar) -> list[FiberClass]:
@@ -251,7 +249,7 @@ def chern_of(b: BundleChar) -> list[FiberClass]:
     """
     ring = b.ring
     top = min(b.rank, ring.truncation - 1) if b.rank >= 0 else ring.truncation - 1
-    p = [b.pieces[d] * factorial(d + 1) for d in range(ring.truncation - 1)]
+    p = [b.ch(d) * factorial(d) for d in range(1, ring.truncation)]
     cs: list[FiberClass] = [FiberClass.const(ring, 1)]
     for k in range(1, top + 1):
         acc = FiberClass.zero(ring)
@@ -262,64 +260,44 @@ def chern_of(b: BundleChar) -> list[FiberClass]:
     return cs[1:]
 
 
+def _psi(b: BundleChar, k: int) -> BundleChar:
+    """psi^k for any nonzero integer k: the degree-d part times k^d."""
+    total = FiberClass.zero(b.ring)
+    for d, part in enumerate(b.parts):
+        total = total + part * k**d
+    return BundleChar(total)
+
+
 def dual(b: BundleChar) -> BundleChar:
-    """Dual bundle: the degree-d character piece changes sign by (-1)^d."""
-    pieces = [
-        piece if (d + 1) % 2 == 0 else -piece for d, piece in enumerate(b.pieces)
-    ]
-    return BundleChar(b.ring, b.rank, pieces)
+    """Dual bundle: psi^{-1}, so the degree-d piece changes sign by (-1)^d."""
+    return _psi(b, -1)
 
 
 def tensor(a: BundleChar, b: BundleChar) -> BundleChar:
-    """Tensor product: characters multiply degree by degree."""
-    if a.ring != b.ring:
-        raise ValueError("ring mismatch between characters")
-    ring = a.ring
-    pieces = []
-    for d in range(1, ring.truncation):
-        acc = FiberClass.zero(ring)
-        for j in range(0, d + 1):
-            acc = acc + a.ch(j) * b.ch(d - j)
-        pieces.append(acc)
-    return BundleChar(ring, a.rank * b.rank, pieces)
+    """Tensor product: characters multiply in A*(P)."""
+    return BundleChar(a.total * b.total)
 
 
 def det(b: BundleChar) -> BundleChar:
     """Determinant line bundle: c_1 = ch_1(b)."""
-    return line_bundle(b.ring, b.ch(1))
+    return line_bundle(b.ch(1))
 
 
 def adams(b: BundleChar, k: int) -> BundleChar:
     """Adams operation psi^k: scales the degree-d piece by k^d."""
     if k < 1:
         raise ValueError("Adams operations need k >= 1")
-    pieces = [piece * Fraction(k ** (d + 1)) for d, piece in enumerate(b.pieces)]
-    return BundleChar(b.ring, b.rank, pieces)
-
-
-def _combine(parts: Sequence[tuple[Fraction, BundleChar]], rank: int) -> BundleChar:
-    ring = parts[0][1].ring
-    pieces = []
-    for d in range(ring.truncation - 1):
-        acc = FiberClass.zero(ring)
-        for coeff, term in parts:
-            acc = acc + term.pieces[d] * coeff
-        pieces.append(acc)
-    return BundleChar(ring, rank, pieces)
+    return _psi(b, k)
 
 
 def sym2(b: BundleChar) -> BundleChar:
-    """Sym^2 via (ch^2 + psi^2) / 2."""
-    half = Fraction(1, 2)
-    rank = b.rank * (b.rank + 1) // 2
-    return _combine([(half, tensor(b, b)), (half, adams(b, 2))], rank)
+    """Sym^2 via (ch^2 + psi^2 ch) / 2."""
+    return BundleChar((b.total * b.total + adams(b, 2).total) * Fraction(1, 2))
 
 
 def wedge2(b: BundleChar) -> BundleChar:
-    """wedge^2 via (ch^2 - psi^2) / 2."""
-    half = Fraction(1, 2)
-    rank = b.rank * (b.rank - 1) // 2
-    return _combine([(half, tensor(b, b)), (-half, adams(b, 2))], rank)
+    """wedge^2 via (ch^2 - psi^2 ch) / 2."""
+    return BundleChar((b.total * b.total - adams(b, 2).total) * Fraction(1, 2))
 
 
 # -- the projective sub-bundle P(E^v) over P --------------------------------
@@ -333,7 +311,7 @@ class ZetaRing:
     zeta^r = -(c_1(E^v) zeta^{r-1} + ... + c_r(E^v)).
     """
 
-    __slots__ = ("ring", "rank", "dual_chern", "_zeta_powers")
+    __slots__ = ("ring", "rank", "dual_chern")
 
     def __init__(self, e_char: BundleChar):
         ring = e_char.ring
@@ -347,7 +325,6 @@ class ZetaRing:
         self.ring = ring
         self.rank = r
         self.dual_chern = tuple(chern_of(dual(e_char)))  # c_1(E^v), ..., c_r(E^v)
-        self._zeta_powers: dict[int, "ZetaClass"] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ZetaRing):
@@ -357,25 +334,19 @@ class ZetaRing:
     __hash__ = None
 
     def zero(self) -> "ZetaClass":
-        return ZetaClass(self, [FiberClass.zero(self.ring)] * self.rank)
+        return ZetaClass(self, [])
 
     def const(self, value: Scalar) -> "ZetaClass":
-        coeffs = [FiberClass.zero(self.ring)] * self.rank
-        coeffs[0] = FiberClass.const(self.ring, value)
-        return ZetaClass(self, coeffs)
+        return self.of_fiber(FiberClass.const(self.ring, value))
 
     def of_fiber(self, c: FiberClass) -> "ZetaClass":
-        coeffs = [FiberClass.zero(self.ring)] * self.rank
-        coeffs[0] = c
-        return ZetaClass(self, coeffs)
+        return ZetaClass(self, [c])
 
     def zeta_power(self, n: int) -> "ZetaClass":
-        """zeta^n, reduced; cached because twists reuse small powers."""
-        if n not in self._zeta_powers:
-            raw = [FiberClass.zero(self.ring)] * (n + 1)
-            raw[n] = FiberClass.const(self.ring, 1)
-            self._zeta_powers[n] = ZetaClass(self, raw)
-        return self._zeta_powers[n]
+        """zeta^n, reduced."""
+        raw = [FiberClass.zero(self.ring)] * (n + 1)
+        raw[n] = FiberClass.const(self.ring, 1)
+        return ZetaClass(self, raw)
 
 
 class ZetaClass:

@@ -1,17 +1,18 @@
 """Casnati-Ekedahl class machinery for degree 3, 4 and 5 covers of P^1.
 
 A degree-k cover C -> P^1 of genus g determines a rank-(k-1) bundle E (of
-degree g+k-1) on the universal P^1-bundle and, for k = 4, 5, a second
-bundle F sitting in the resolution of the curve inside P(E^v).  Writing
-c_i(E) = a_i + a_i' z and c_i(F) = b_i + b_i' z, the classes
+degree g+k-1) on the universal P^1-bundle and a second bundle F, of rank
+``ce_rank(1, k)`` = 1, 2, 5, sitting in the resolution of the curve inside
+P(E^v).  Writing c_i(E) = a_i + a_i' z and c_i(F) = b_i + b_i' z, the classes
 
-    c2, a_i, a_i' (i >= 2), b_i, b_i' (i >= 2)
+    c2, a1, a_i, a_i' (2 <= i <= rank E), b_i, b_i' (2 <= i <= rank F)
 
 generate the ring where all the computations below take place.  The built
-in identities are a_1' = g+k-1, together with b_1 = a_1, b_1' = a_1' for
-k = 4 (det F = det E) and b_1 = 2 a_1, b_1' = 2 a_1' for k = 5
-(det F = (det E)^2).  A symbolic genus is handled by a degree-0 generator
-``g``, so kappa-class coefficients come out as polynomials in g.
+in identities are a_1' = g+k-1 and c_1(F) = m c_1(E), that is
+det F = (det E)^m, with m = 1, 1, 2 for k = 3, 4, 5.  So one rule builds
+the ring and both characters from the two ranks; for k = 3, F is the line
+bundle det E.  A symbolic genus is handled by a degree-0 generator ``g``,
+so kappa-class coefficients come out as polynomials in g.
 
 The universal curve class [C] in P(E^v) is assembled from character pieces
 of the resolution bundles, and the kappa classes are
@@ -42,41 +43,6 @@ from .gring import GradedPoly, RingSpec
 
 SUPPORTED_DEGREES = (3, 4, 5)
 
-# Generator lists (name, weight) for each covering degree, in serialization
-# order.  a_1' and b_1' are not generators: they are numbers (or g-polynomials).
-_GENERATORS = {
-    3: (("c2", 2), ("a1", 1), ("a2", 2), ("a2'", 1)),
-    4: (
-        ("c2", 2),
-        ("a1", 1),
-        ("a2", 2),
-        ("a3", 3),
-        ("a2'", 1),
-        ("a3'", 2),
-        ("b2", 2),
-        ("b2'", 1),
-    ),
-    5: (
-        ("c2", 2),
-        ("a1", 1),
-        ("a2", 2),
-        ("a3", 3),
-        ("a4", 4),
-        ("a2'", 1),
-        ("a3'", 2),
-        ("a4'", 3),
-        ("b2", 2),
-        ("b3", 3),
-        ("b4", 4),
-        ("b5", 5),
-        ("b2'", 1),
-        ("b3'", 2),
-        ("b4'", 3),
-        ("b5'", 4),
-    ),
-}
-
-
 def ce_rank(i: int, k: int) -> int:
     """Rank of the i-th syzygy bundle in the length-(k-2) resolution.
 
@@ -96,6 +62,23 @@ def ce_rank(i: int, k: int) -> int:
     return int(value)
 
 
+def _bundles(k: int) -> tuple[tuple[str, int, int], ...]:
+    """(letter, rank, m) for E and F: the letter names their Chern classes
+    and c_1 = m c_1(E), so det F = (det E)^m with m = 1, 1, 2 for k = 3, 4, 5."""
+    return (("a", k - 1, 1), ("b", ce_rank(1, k), {3: 1, 4: 1, 5: 2}[k]))
+
+
+def _generators(k: int) -> tuple[tuple[str, int], ...]:
+    """c2, a1, then a_i, a_i' for 2 <= i <= rank E and b_i, b_i' for
+    2 <= i <= rank F, with weights i and i-1; a_1' and the b_1 data are
+    not generators."""
+    gens = [("c2", 2), ("a1", 1)]
+    for letter, rank, _ in _bundles(k):
+        gens += [(f"{letter}{i}", i) for i in range(2, rank + 1)]
+        gens += [(f"{letter}{i}'", i - 1) for i in range(2, rank + 1)]
+    return tuple(gens)
+
+
 def presentation(k: int, genus: int) -> tuple[tuple[tuple[str, int], ...], int]:
     """Free generators of the class ring and the degree below which it is free.
 
@@ -106,7 +89,7 @@ def presentation(k: int, genus: int) -> tuple[tuple[tuple[str, int], ...], int]:
         raise ValueError(f"unsupported covering degree {k}")
     if genus < 2:
         raise ValueError(f"genus must be >= 2, got {genus}")
-    return _GENERATORS[k], genus + k
+    return _generators(k), genus + k
 
 
 class CESetup(NamedTuple):
@@ -134,33 +117,19 @@ def ce_setup(k: int, genus: Optional[int] = None, truncation: int = 8) -> CESetu
         raise ValueError(f"unsupported covering degree {k}")
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
-    gens = _GENERATORS[k]
     if genus is None:
-        gens = gens + (("g", 0),)
-    ring = RingSpec(gens, truncation)
-
-    if genus is None:
+        ring = RingSpec(_generators(k) + (("g", 0),), truncation)
         a1p = ring.gen("g") + ring.const(k - 1)
     else:
+        ring = RingSpec(_generators(k), truncation)
         a1p = ring.const(genus + k - 1)
 
-    rank_e = k - 1
-    e_parts = [(ring.gen("a1"), a1p)]
-    for i in range(2, rank_e + 1):
-        e_parts.append((ring.gen(f"a{i}"), ring.gen(f"a{i}'")))
-    e_char = chern_from_parts(ring, e_parts, rank_e)
-
-    if k == 3:
-        f_char = det(e_char)
-    elif k == 4:
-        f_parts = [(ring.gen("a1"), a1p), (ring.gen("b2"), ring.gen("b2'"))]
-        f_char = chern_from_parts(ring, f_parts, 2)
-    else:
-        f_parts = [(ring.gen("a1") * 2, a1p * 2)]
-        for i in range(2, 6):
-            f_parts.append((ring.gen(f"b{i}"), ring.gen(f"b{i}'")))
-        f_char = chern_from_parts(ring, f_parts, 5)
-
+    chars = []
+    for letter, rank, m in _bundles(k):
+        parts = [(ring.gen("a1") * m, a1p * m)]
+        parts += [(ring.gen(f"{letter}{i}"), ring.gen(f"{letter}{i}'")) for i in range(2, rank + 1)]
+        chars.append(chern_from_parts(ring, parts, rank))
+    e_char, f_char = chars
     return CESetup(degree=k, genus=genus, ring=ring, e_char=e_char, f_char=f_char)
 
 

@@ -703,6 +703,17 @@ def _int_field(obj: object, key: str) -> int:
     return int(q)
 
 
+def _number(value: object, where: str) -> Fraction:
+    """A spec number: a JSON number or a numeric string, not a bool;
+    ValueError naming ``where`` otherwise."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(str(value))
+        except ValueError:
+            pass
+    raise ValueError(f"spec: {where} must be a number, got {value!r}")
+
+
 def program_from_json(data: dict) -> PLProgram:
     """The program of a ``--spec-file`` document; ValueError if it is malformed."""
     n = _int_field(data, "vars")
@@ -710,7 +721,8 @@ def program_from_json(data: dict) -> PLProgram:
     def row(values: Sequence) -> tuple[list[Fraction], Fraction]:
         if not isinstance(values, list) or len(values) != n + 1:
             raise ValueError(f"spec: constraint row {values!r} needs {n + 1} entries")
-        nums = [Fraction(str(v)) for v in values]
+        where = f"entry of constraint row {values!r}"
+        nums = [_number(v, where) for v in values]
         return nums[:n], nums[n]
 
     obj = _field(data, "obj", dict, {})
@@ -718,13 +730,15 @@ def program_from_json(data: dict) -> PLProgram:
         num_vars=n,
         equalities=[row(r) for r in _field(data, "eq", list, [])],
         inequalities=[row(r) for r in _field(data, "le", list, [])],
-        objective_linear=[Fraction(str(v)) for v in _field(obj, "lin", list, [0] * n)],
-        objective_const=Fraction(str(obj.get("const", 0))),
+        objective_linear=[
+            _number(v, "entry of key 'lin'") for v in _field(obj, "lin", list, [0] * n)
+        ],
+        objective_const=_number(obj.get("const", 0), "key 'const'"),
         hinges=[
             (
                 _int_field(h, "sign"),
-                [Fraction(str(v)) for v in _field(h, "coeffs", list)],
-                Fraction(str(_field(h, "rhs", _SCALAR))),
+                [_number(v, "entry of key 'coeffs'") for v in _field(h, "coeffs", list)],
+                _number(_field(h, "rhs", _SCALAR), "key 'rhs'"),
             )
             for h in _field(obj, "hinges", list, [])
         ],

@@ -208,6 +208,20 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
             {"vars": 1, "obj": {"hinges": [{"sign": 1.9, "coeffs": ["1"], "rhs": "0"}]}},
             "'sign' must be an integer, got 1.9",
         ),
+        ({"vars": 1, "le": [["-1", "0"]], "obj": {"const": "x"}}, "'const' must be a number, got 'x'"),
+        (
+            {"vars": 1, "le": [["-1", "0"], ["abc", "2"]]},
+            "constraint row ['abc', '2'] must be a number, got 'abc'",
+        ),
+        (
+            {"vars": 1, "obj": {"hinges": [{"sign": 1, "coeffs": ["q"], "rhs": "0"}]}},
+            "'coeffs' must be a number, got 'q'",
+        ),
+        ({"vars": 1, "le": [["-1", "0"]], "obj": {"lin": [True]}}, "'lin' must be a number, got True"),
+        (
+            {"vars": 1, "obj": {"hinges": [{"sign": 1, "coeffs": ["1"], "rhs": False}]}},
+            "'rhs' must be a number, got False",
+        ),
     ],
     ids=[
         "no_vars",
@@ -218,6 +232,11 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
         "boolean_vars",
         "ratio_vars",
         "fractional_sign",
+        "text_const",
+        "text_row_entry",
+        "text_hinge_coeff",
+        "boolean_lin",
+        "boolean_rhs",
     ],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, spec, key):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cecalc.bundles import FiberClass, ZetaRing, chern_of, dual, push_gamma
+from cecalc.bundles import FiberClass, ZetaRing, chern_of, det, dual, push_gamma
 from cecalc.hurwitz import (
     ce_rank,
     ce_setup,
@@ -222,6 +222,27 @@ def test_presentation_generator_counts_and_bounds():
     gens5, bound5 = presentation(5, 11)
     assert len(gens5) == 16 and bound5 == 16
     assert ("c2", 2) in gens4 and ("b2'", 1) in gens4
+
+
+# The generator table the rings were once written out from, in serialization order.
+GENERATOR_TABLE = {
+    3: (("c2", 2), ("a1", 1), ("a2", 2), ("a2'", 1)),
+    4: (("c2", 2), ("a1", 1), ("a2", 2), ("a3", 3), ("a2'", 1), ("a3'", 2), ("b2", 2), ("b2'", 1)),
+    5: (
+        ("c2", 2), ("a1", 1), ("a2", 2), ("a3", 3), ("a4", 4), ("a2'", 1), ("a3'", 2), ("a4'", 3),
+        ("b2", 2), ("b3", 3), ("b4", 4), ("b5", 5), ("b2'", 1), ("b3'", 2), ("b4'", 3), ("b5'", 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_generators_follow_the_ranks_of_e_and_f(k):
+    ring = ce_setup(k, 9).ring
+    assert presentation(k, 9)[0] == GENERATOR_TABLE[k]
+    assert tuple(zip(ring.names, ring.degrees)) == GENERATOR_TABLE[k]
+    if k == 3:  # F is the rank-1 bundle with c_1(E), that is det E
+        s3 = ce_setup(3, 7, 5)
+        assert s3.f_char == det(s3.e_char)
 
 
 def test_presentation_validation():

@@ -342,6 +342,14 @@ def test_json_round_trip():
     assert program_from_json(data) == p
 
 
+@pytest.mark.parametrize("spelling", [2, "2", 2.0], ids=["int", "string", "float"])
+def test_json_numbers_parse_in_any_spelling(spelling):
+    p = program_from_json({"vars": 1, "le": [["-1", spelling]], "obj": {"lin": [1.5], "const": "3/2"}})
+    assert p.inequalities == (((Fraction(-1),), Fraction(2)),)
+    assert p.objective_linear == (Fraction(3, 2),)
+    assert p.objective_const == Fraction(3, 2)
+
+
 def test_json_rejects_ragged_rows():
     with pytest.raises(ValueError, match="entries"):
         program_from_json({"vars": 2, "eq": [["1", "2"]], "obj": {"lin": ["1", "0"]}})

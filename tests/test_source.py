@@ -1,12 +1,17 @@
-"""Source-level guards: the library computes in exact arithmetic only, and
-imports nothing it does not use."""
+"""Source-level guards: the library computes in exact arithmetic only,
+imports nothing it does not use, and defines nothing that nobody reads."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "cecalc").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "cecalc").glob("*.py"))
+# Where a library name may be read: the library, its tests and the benchmark.
+READERS = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+READERS += sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def inexact_nodes(tree):
@@ -79,3 +84,49 @@ def test_the_guard_sees_unused_imports():
     assert list(unused_imports(ast.parse("import os\nx = 1\n"))) == [(1, "os")]
     code = "from __future__ import annotations\nimport os.path\nfrom a import b as c\nc(os)\n"
     assert list(unused_imports(ast.parse(code))) == []
+
+
+def reads(tree):
+    """Every name the tree reads: loaded names, loaded attributes and string
+    constants (the benchmark tracer patches functions by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def dead_names(tree, readers):
+    """(line, name) for each def and class in ``tree`` (dunders aside) that no
+    tree in ``readers`` reads outside the definition itself."""
+    total = Counter()
+    for reader in readers:
+        total.update(reads(reader))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if total[name] == Counter(reads(node))[name]:
+                yield node.lineno, name
+
+
+def test_every_definition_is_read():
+    readers = [ast.parse(p.read_text(), filename=str(p)) for p in READERS]
+    found = [
+        f"{path.name}:{line} {name}"
+        for path, tree in zip(READERS, readers)
+        if path in SOURCES
+        for line, name in dead_names(tree, readers)
+    ]
+    assert not found, f"defined but never read: {', '.join(found)}"
+
+
+def test_the_guard_sees_dead_names():
+    tree = ast.parse("def unused(): pass\n")
+    assert list(dead_names(tree, [tree])) == [(1, "unused")]
+    code = "def loop(): loop()\nclass Used: pass\ndef patched(): pass\nUsed()\nx = 'patched'\n"
+    tree = ast.parse(code)
+    assert list(dead_names(tree, [tree])) == [(1, "loop")]
