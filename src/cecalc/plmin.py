@@ -12,13 +12,17 @@ a vertex of that intersection: a point where m independent boundary or
   1. eliminates the equalities by fraction-free elimination, working in
      integer coordinates on the affine subspace;
   2. certifies boundedness, in integers, by checking that the recession
-     cone of the projected inequalities is trivial (lineality space plus
-     extreme-ray enumeration over (m-1)-subsets of the constraint normals);
-  3. enumerates every m-subset of the projected boundary hyperplanes and
-     +1 breakpoint hyperplanes (the -1 breakpoints need no vertices of
-     their own), solves each square system by the same elimination, keeps
-     the feasible intersection points and evaluates the objective at each
-     as an integer numerator over a known denominator.
+     cone of the projected inequalities is trivial: the normals must span,
+     and no null line of m - 1 independent normals may be a recession ray;
+  3. walks the m-subsets of the projected boundary hyperplanes and +1
+     breakpoint hyperplanes (the -1 breakpoints need no vertices of their
+     own), keeps the feasible intersection points and evaluates the
+     objective at each as an integer numerator over a known denominator.
+
+Steps 2 and 3 share one depth-first walk over subsets.  It extends an
+integer Gauss-Jordan basis one plane at a time, reads each null line or
+vertex off that basis, and skips every completion of a dependent prefix
+without visiting it.
 
 Programs whose subset counts exceed ``MAX_SUBSETS`` are refused with
 ValueError before any enumeration starts.
@@ -40,10 +44,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, gcd, lcm
 from numbers import Real
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -123,7 +126,7 @@ class PLSolution(NamedTuple):
     # minimiser that is a vertex only where a -1 breakpoint cuts is not listed.
     argmin_points: tuple[Vector, ...]
     planes: int  # distinct hyperplanes enumerated, after deduplication
-    subsets: int  # m-subsets of those planes tried
+    subsets: int  # m-subsets of those planes, C(planes, m)
     singular: int  # subsets whose planes do not meet in one point
     infeasible: int  # intersection points outside the region
     feasible: int  # intersection points inside the region, each evaluated
@@ -197,26 +200,62 @@ def _echelon_int(rows: list[tuple[int, ...]]) -> tuple[list[list[int]], list[int
     return mat, pivots
 
 
-def _null_ray(rows: list[tuple[int, ...]], m: int) -> Optional[tuple[int, ...]]:
-    """Primitive generator of the null space of m - 1 rows when it is a line.
+def _independent_subsets(
+    rows: Sequence[tuple[int, ...]], size: int, m: int
+) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
+    """The reduced basis of each size-subset of rows independent in its first m columns.
 
-    It is read off D times the reduced row echelon form: D at the one
-    non-pivot column, minus that column's entries at the pivot columns.
-    Divided by its gcd with that entry kept positive, it is the ray the
-    rational echelon form gives, whatever D is.
+    Subsets are visited depth-first in ``itertools.combinations`` order.  The
+    walk keeps the integer Gauss-Jordan basis of the current prefix as a list
+    of (pivot column, row) pairs: each row is primitive, positive at its own
+    pivot column and 0 at every other pivot column, so it is a row of the
+    reduced row echelon form times a positive integer.  A new row costs one
+    row operation per pivot and one back-reduction of the prefix rows.  When
+    its first m entries reduce to zero the prefix is dependent, and every
+    completion of it is skipped unvisited.  One basis per depth is kept on an
+    explicit stack, so the depth is not bounded by the recursion limit.
     """
-    mat, pivots = _echelon_int(rows)
-    if len(pivots) != m - 1:
-        return None
-    free = next(c for c in range(m) if c not in pivots)
-    vec = [0] * m
-    vec[free] = mat[0][pivots[0]]
-    for r, c in enumerate(pivots):
-        vec[c] = -mat[r][free]
-    g = gcd(*vec)
-    if vec[free] < 0:
-        g = -g
-    return tuple(v // g for v in vec)
+    if size == 0:
+        yield []
+        return
+    n = len(rows)
+    bases: list[list[tuple[int, tuple[int, ...]]]] = [[]]  # bases[d]: first d rows
+    nxt = [0]  # nxt[d]: index of the next row to try at depth d
+    while nxt:
+        d = len(nxt) - 1
+        j = nxt[d]
+        if j > n - size + d:  # too few rows left to complete a subset
+            nxt.pop()
+            bases.pop()
+            continue
+        nxt[d] = j + 1
+        basis, row = bases[d], rows[j]
+        scale = lcm(*(b[c] for c, b in basis))
+        new = [scale * v for v in row]
+        for c, b in basis:
+            if row[c]:
+                f = row[c] * (scale // b[c])
+                new = [v - f * w for v, w in zip(new, b)]
+        col = next((c for c in range(m) if new[c]), None)
+        if col is None:  # dependent prefix: none of its completions is independent
+            continue
+        g = gcd(*new) if new[col] > 0 else -gcd(*new)
+        new = tuple(v // g for v in new)
+        pivot = new[col]
+        extended = []
+        for c, b in basis:
+            f = b[col]
+            if f:
+                b = [pivot * v - f * w for v, w in zip(b, new)]
+                g = gcd(*b)
+                b = tuple(v // g for v in b)
+            extended.append((c, b))
+        extended.append((col, new))
+        if d + 1 == size:
+            yield extended
+        else:
+            bases.append(extended)
+            nxt.append(j + 1)
 
 
 def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
@@ -236,10 +275,18 @@ def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
         if all(w[0] > 0 for w in rows) or all(w[0] < 0 for w in rows):
             raise UnboundedError("feasible interval is a half line")
         return
-    for subset in combinations(rows, m - 1):
-        d = _null_ray(list(subset), m)
-        if d is None:
-            continue
+    for basis in _independent_subsets(rows, m - 1, m):
+        # the null line of m - 1 independent rows, primitive and positive at
+        # the one free column
+        pivots = [c for c, _ in basis]
+        free = next(c for c in range(m) if c not in pivots)
+        scale = lcm(*(b[c] for c, b in basis))
+        vec = [0] * m
+        vec[free] = scale
+        for c, b in basis:
+            vec[c] = -b[free] * (scale // b[c])
+        g = gcd(*vec)
+        d = tuple(v // g for v in vec)
         for ray in (d, tuple(-v for v in d)):
             if all(sum(wi * di for wi, di in zip(w, ray)) <= 0 for w in rows):
                 raise UnboundedError(f"recession ray {ray} detected")
@@ -291,6 +338,11 @@ class _Region(NamedTuple):
 
 def _region(p: PLProgram, empty: PLError) -> _Region:
     """Eliminate the equalities, project every form and certify boundedness.
+
+    Boundedness is certified by the same pruned walk as the vertex
+    enumeration, over the (m-1)-subsets of the constraint normals: each
+    independent one has a null line, and neither of its two rays d may have
+    W d <= 0, W being the matrix of normals.
 
     Raises InfeasibleError when the equalities are inconsistent, ``empty``
     when an inequality that is constant on the subspace fails, ValueError
@@ -392,11 +444,13 @@ def solve(p: PLProgram) -> PLSolution:
     cannot move the minimum.  ``argmin_points`` are the minimising vertices
     of that reduced arrangement, each also a vertex of the full one.
 
-    Each m-subset of planes is solved by fraction-free Gauss-Jordan
-    elimination, which gives its vertex as integers t = tn / q; feasibility
-    and the objective are evaluated on those integers, and only the
-    minimising vertices are lifted to Fraction points x.  A region that is
-    one point (m = 0) is the single empty subset.
+    The m-subsets of planes are walked depth-first, each prefix kept as an
+    integer Gauss-Jordan basis; a prefix whose planes are dependent is
+    dropped with all its completions, which are counted as singular.  Each
+    independent subset gives its vertex as integers t = tn / q, q being the
+    lcm of the pivots; feasibility and the objective are evaluated on those
+    integers, and only the minimising vertices are lifted to Fraction
+    points x.  A region that is one point (m = 0) is the single empty subset.
 
     Raises InfeasibleError when the region is empty and UnboundedError when
     it is unbounded.  Boundedness is a property of the recession cone of
@@ -410,17 +464,13 @@ def solve(p: PLProgram) -> PLSolution:
     m = len(r.free)
     best: Optional[tuple[int, int]] = None  # (numerator, q) of the least value so far
     argmins: dict[tuple[tuple[int, ...], int], None] = {}
-    subsets = singular = infeasible = 0
-    for subset in combinations(r.planes, m):
-        subsets += 1
-        mat, pivots = _echelon_int([(*w, c) for w, c in subset])
-        if len(pivots) < m or m in pivots:  # the planes do not meet in one point
-            singular += 1
-            continue
-        q = mat[0][0] if m else 1
-        tn = [row[m] for row in mat]
-        if q < 0:
-            q, tn = -q, [-v for v in tn]
+    vertices = infeasible = 0
+    for basis in _independent_subsets([(*w, c) for w, c in r.planes], m, m):
+        vertices += 1
+        q = lcm(*(b[c] for c, b in basis))
+        tn = [0] * m
+        for c, b in basis:
+            tn[c] = b[m] * (q // b[c])
         if any(_dot(w, tn) > c * q for w, c in r.ineq):
             infeasible += 1
             continue
@@ -433,11 +483,12 @@ def solve(p: PLProgram) -> PLSolution:
             argmins[tn, q] = None
     if best is None:
         raise InfeasibleError("no intersection point satisfies all constraints")
+    subsets = comb(len(r.planes), m)
     return PLSolution(
         p.objective_const + Fraction(best[0], r.scale * best[1]),
         tuple(sorted(_lift(r, tn, q) for tn, q in argmins)),
-        planes=len(r.planes), subsets=subsets, singular=singular, infeasible=infeasible,
-        feasible=subsets - singular - infeasible,
+        planes=len(r.planes), subsets=subsets, singular=subsets - vertices,
+        infeasible=infeasible, feasible=vertices - infeasible,
     )
 
 

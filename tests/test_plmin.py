@@ -1,8 +1,10 @@
 """Exact piecewise-linear minimization: solver, presets, oracles, invariances."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -667,3 +669,142 @@ def test_reduced_arrangement_matches_full_arrangement(random_program_factory):
                 tally[want] += 1
     assert tally["mixed"] > 200
     assert tally[InfeasibleError] > 500 and tally[UnboundedError] > 300
+
+
+# -- the pruned subset walk against a recount ---------------------------------------
+
+
+def _box_cut_program(rng, n):
+    """A box in n variables, a cut through its centre and a hinge objective.
+
+    Half the boxes are sheared: they bound u_i = x_i - x_{i+1} (i < n - 1)
+    and u_{n-1} = x_{n-1} instead of x_i.  The cut comes with a repeated
+    copy (scaled by 2) or a parallel one, so many subsets of planes are
+    singular.  Two programs in three lose the upper bound of one or two
+    coordinates, which often leaves the region unbounded, with one or more
+    extreme rays.
+    """
+    shear = rng.randrange(2)
+    rows, centre = [], [0] * n
+    for i in reversed(range(n)):
+        hi = 2 * rng.randint(1, 2)
+        e = [int(j == i) - shear * int(j == i + 1) for j in range(n)]
+        rows[:0] = [([-v for v in e], 0), (e, hi)]
+        centre[i] = hi // 2 + (shear * centre[i + 1] if i + 1 < n else 0)
+    a = [rng.randint(-2, 2) for _ in range(n)]
+    b = sum(v * x for v, x in zip(a, centre)) + rng.randint(0, 2)
+    rows += [(a, b), rng.choice([([2 * v for v in a], 2 * b), (a, b + 1)])]
+    for i in sorted(rng.sample(range(n), rng.randrange(3)), reverse=True):
+        del rows[2 * i + 1]  # the upper bound of x_i or u_i
+    return program(
+        num_vars=n,
+        inequalities=rows,
+        objective_linear=[rng.randint(-3, 3) for _ in range(n)],
+        hinges=[
+            (rng.choice([1, -1]), [rng.randint(-1, 1) for _ in range(n)], rng.randint(-1, 1))
+            for _ in range(rng.randint(0, 1))
+        ],
+    )
+
+
+def _recount(p):
+    """(planes, subsets, singular, infeasible, feasible) of ``solve``, by brute
+    force over every n-subset of the distinct boundary and +1 breakpoint
+    planes, each solved by Cramer's rule.  Integer coefficients only."""
+    n = p.num_vars
+    rows = [([int(v) for v in a], int(b)) for a, b in p.inequalities]
+    lines = rows + [([int(v) for v in h.coeffs], int(h.rhs)) for h in p.hinges if h.sign > 0]
+    planes = {}
+    for a, b in lines:
+        if any(a):
+            lead = next(v for v in a if v)
+            planes.setdefault(tuple(Fraction(v, lead) for v in a + [b]), (a, b))
+    counts = [len(planes), 0, 0, 0, 0]
+    for subset in combinations(planes.values(), n):
+        counts[1] += 1
+        den = _det([a for a, _ in subset])
+        if den == 0:
+            counts[2] += 1
+            continue
+        num = [_det([a[:j] + [b] + a[j + 1 :] for a, b in subset]) for j in range(n)]
+        if den < 0:
+            den, num = -den, [-v for v in num]
+        inside = all(sum(a_i * v for a_i, v in zip(a, num)) <= b * den for a, b in rows)
+        counts[4 if inside else 3] += 1
+    return tuple(counts)
+
+
+def _first_ray(p):
+    """The first primitive +-null generator of n - 1 constraint normals, in
+    ``combinations`` order, with W . ray <= 0; None if there is none."""
+    n = p.num_vars
+    normals = [[int(v) for v in a] for a, _ in p.inequalities if any(a)]
+    for subset in combinations(normals, n - 1):
+        d = _null_generator(list(subset), n)
+        if any(d):
+            g = gcd(*d)
+            for ray in (tuple(v // g for v in d), tuple(-v // g for v in d)):
+                if all(sum(a_i * r_i for a_i, r_i in zip(a, ray)) <= 0 for a in normals):
+                    return ray
+    return None
+
+
+def test_pruned_walk_counts_and_rays_match_a_recount():
+    rng = random.Random(20261019)
+    singular = unbounded = 0
+    for n in [4, 5, 6] * 4:
+        p = _box_cut_program(rng, n)
+        ray = _first_ray(p)
+        if ray is None:
+            counts = _recount(p)
+            assert solve(p)[2:] == counts
+            singular += counts[2]
+        else:
+            with pytest.raises(UnboundedError) as exc:
+                solve(p)
+            assert str(exc.value) == f"recession ray {ray} detected"
+            unbounded += 1
+    assert singular > 0 and unbounded > 0
+
+
+def test_pinned_edge_counts():
+    # m = 0: the equalities pin the point, the one empty subset is its vertex
+    # and the +1 breakpoint is constant on the subspace, so it adds no plane
+    point = program(
+        num_vars=2,
+        equalities=[([1, 1], 3), ([1, -1], 1)],
+        inequalities=[([1, 0], 5)],
+        hinges=[(1, [1, 0], 1)],
+    )
+    assert tuple(solve(point)) == (1, ((2, 1),), 0, 1, 0, 0, 1)
+    # 0 <= x <= 1 with +1 breakpoints at 1/2, at 3 (outside) and at 1 (the
+    # boundary again), and a -1 breakpoint at 1/4, which is not enumerated
+    interval = program(
+        num_vars=1,
+        inequalities=[([-1], 0), ([1], 1)],
+        objective_linear=[1],
+        hinges=[(1, [-2], -1), (1, [1], 3), (1, [2], 2), (-1, [4], 1)],
+    )
+    assert tuple(solve(interval)) == (-2, ((1,),), 4, 4, 0, 1, 3)
+
+
+def test_walk_depth_is_not_bounded_by_the_recursion_limit():
+    # a 30-variable simplex: every vertex is a subset of 30 planes
+    n = 30
+    p = program(
+        num_vars=n,
+        inequalities=[([-int(j == i) for j in range(n)], 0) for i in range(n)] + [([1] * n, 1)],
+        objective_linear=[(-1) ** i * (i + 1) for i in range(n)],
+    )
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 25)
+    try:
+        sol = solve(p)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sol[2:] == (31, 31, 0, 0, 31)
+    assert sol.min_value == -30
+    assert sol.argmin_points == (tuple(int(i == 29) for i in range(n)),)
