@@ -9,7 +9,7 @@ so its minimum over the polytope intersected with that cell is attained at
 a vertex of that intersection: a point where m independent boundary or
 +1 breakpoint hyperplanes meet.  The solver therefore:
 
-  1. eliminates the equalities by fraction-free elimination, working in
+  1. folds the equalities into an integer Gauss-Jordan basis, working in
      integer coordinates on the affine subspace;
   2. certifies boundedness, in integers, by checking that the recession
      cone of the projected inequalities is trivial: the normals must span,
@@ -19,10 +19,12 @@ a vertex of that intersection: a point where m independent boundary or
      own), keeps the feasible intersection points and evaluates the
      objective at each as an integer numerator over a known denominator.
 
-Steps 2 and 3 share one depth-first walk over subsets.  It extends an
-integer Gauss-Jordan basis one plane at a time, reads each null line or
-vertex off that basis, and skips every completion of a dependent prefix
-without visiting it.
+The only linear algebra is one step: extending an integer Gauss-Jordan
+basis by a row.  It eliminates the equalities, checks that the normals
+span and puts each plane in normal form, as its one-row basis.  Steps 2
+and 3 share one depth-first walk over subsets, which extends the basis one
+plane at a time, reads each null line or vertex off it, and skips every
+completion of a dependent prefix without visiting it.
 
 Programs whose subset counts exceed ``MAX_SUBSETS`` are refused with
 ValueError before any enumeration starts.
@@ -162,64 +164,81 @@ def is_feasible(p: PLProgram, x: Sequence[Scalar]) -> bool:
 
 
 # -- exact linear algebra -----------------------------------------------------
+#
+# A basis is a list of (pivot column, row) pairs of integer rows.  Each row is
+# primitive, positive at its own pivot column and 0 at every other pivot
+# column, so it is a row of the reduced row echelon form times a positive
+# integer.
+
+_Basis = list[tuple[int, tuple[int, ...]]]
 
 
-def _echelon_int(rows: list[tuple[int, ...]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss).
+def _reduce(basis: _Basis, row: Sequence[int]) -> list[int]:
+    """l * row minus the multiples of the basis rows that clear every pivot
+    column, l being the lcm of the pivots."""
+    scale = lcm(*(b[c] for c, b in basis))
+    new = [scale * v for v in row]
+    for c, b in basis:
+        if row[c]:
+            f = row[c] * (scale // b[c])
+            new = [v - f * w for v, w in zip(new, b)]
+    return new
 
-    Returns (mat, pivot column list).  Every division is exact, and after
-    the last step each pivot row holds the same value D != 0 at its pivot
-    column and 0 at every other pivot column, so mat / D is the reduced row
-    echelon form.
+
+def _extend(basis: _Basis, row: Sequence[int], m: int) -> Optional[_Basis]:
+    """The basis of the rows of ``basis`` and ``row``, pivots among the first m columns.
+
+    The reduced row pivots at its first nonzero column below m and is made
+    primitive and positive there; every basis row nonzero in that column is
+    then back-reduced by it.  Returns None, leaving ``basis`` as it is, when
+    the first m entries of the reduced row are 0: the row is dependent there.
     """
-    mat = [list(w) for w in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        row_r = mat[r]
-        pivot = row_r[c]
-        for i, row_i in enumerate(mat):
-            factor = row_i[c]
-            if i == r or factor == 0 and pivot == prev:
-                continue
-            if factor == 0:
-                mat[i] = [pivot * v // prev for v in row_i]
-            else:
-                mat[i] = [(pivot * v - factor * w) // prev for v, w in zip(row_i, row_r)]
-        pivots.append(c)
-        prev = pivot
-        r += 1
-    return mat, pivots
+    new = _reduce(basis, row)
+    col = next((c for c in range(m) if new[c]), None)
+    if col is None:
+        return None
+    g = gcd(*new) if new[col] > 0 else -gcd(*new)
+    new = tuple(v // g for v in new)
+    pivot = new[col]
+    extended = []
+    for c, b in basis:
+        f = b[col]
+        if f:
+            b = [pivot * v - f * w for v, w in zip(b, new)]
+            g = gcd(*b)
+            b = tuple(v // g for v in b)
+        extended.append((c, b))
+    extended.append((col, new))
+    return extended
 
 
-def _independent_subsets(
-    rows: Sequence[tuple[int, ...]], size: int, m: int
-) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
-    """The reduced basis of each size-subset of rows independent in its first m columns.
+def _solved(basis: _Basis, j: int, m: int) -> tuple[list[int], int]:
+    """(v, q): the basis solved for column j over q, the lcm of the pivots.
 
-    Subsets are visited depth-first in ``itertools.combinations`` order.  The
-    walk keeps the integer Gauss-Jordan basis of the current prefix as a list
-    of (pivot column, row) pairs: each row is primitive, positive at its own
-    pivot column and 0 at every other pivot column, so it is a row of the
-    reduced row echelon form times a positive integer.  A new row costs one
-    row operation per pivot and one back-reduction of the prefix rows.  When
-    its first m entries reduce to zero the prefix is dependent, and every
-    completion of it is skipped unvisited.  One basis per depth is kept on an
-    explicit stack, so the depth is not bounded by the recursion limit.
+    v / q is the vector y of length m with b[c] y_c = b[j] for each basis
+    row b at its pivot column c, and 0 at every other column.
+    """
+    q = lcm(*(b[c] for c, b in basis))
+    v = [0] * m
+    for c, b in basis:
+        v[c] = b[j] * (q // b[c])
+    return v, q
+
+
+def _independent_subsets(rows: Sequence[tuple[int, ...]], size: int, m: int) -> Iterator[_Basis]:
+    """The basis of each size-subset of rows independent in its first m columns.
+
+    Subsets are visited depth-first in ``itertools.combinations`` order, the
+    basis of the current prefix extended by one row per step.  When a new
+    row is dependent on the prefix, every completion of it is skipped
+    unvisited.  One basis per depth is kept on an explicit stack, so the
+    depth is not bounded by the recursion limit.
     """
     if size == 0:
         yield []
         return
     n = len(rows)
-    bases: list[list[tuple[int, tuple[int, ...]]]] = [[]]  # bases[d]: first d rows
+    bases: list[_Basis] = [[]]  # bases[d]: first d rows
     nxt = [0]  # nxt[d]: index of the next row to try at depth d
     while nxt:
         d = len(nxt) - 1
@@ -229,28 +248,9 @@ def _independent_subsets(
             bases.pop()
             continue
         nxt[d] = j + 1
-        basis, row = bases[d], rows[j]
-        scale = lcm(*(b[c] for c, b in basis))
-        new = [scale * v for v in row]
-        for c, b in basis:
-            if row[c]:
-                f = row[c] * (scale // b[c])
-                new = [v - f * w for v, w in zip(new, b)]
-        col = next((c for c in range(m) if new[c]), None)
-        if col is None:  # dependent prefix: none of its completions is independent
+        extended = _extend(bases[d], rows[j], m)
+        if extended is None:  # dependent prefix: none of its completions is independent
             continue
-        g = gcd(*new) if new[col] > 0 else -gcd(*new)
-        new = tuple(v // g for v in new)
-        pivot = new[col]
-        extended = []
-        for c, b in basis:
-            f = b[col]
-            if f:
-                b = [pivot * v - f * w for v, w in zip(b, new)]
-                g = gcd(*b)
-                b = tuple(v // g for v in b)
-            extended.append((c, b))
-        extended.append((col, new))
         if d + 1 == size:
             yield extended
         else:
@@ -268,7 +268,10 @@ def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
         return
     if not rows:
         raise UnboundedError("no inequality constrains the affine subspace")
-    if len(_echelon_int(rows)[1]) < m:
+    span: _Basis = []
+    for w in rows:
+        span = _extend(span, w, m) or span
+    if len(span) < m:
         raise UnboundedError("constraint normals do not span; region contains a line")
     if m == 1:
         # every nonzero normal pins one side; both signs blocked iff normals differ in sign
@@ -280,13 +283,10 @@ def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
         # the one free column
         pivots = [c for c, _ in basis]
         free = next(c for c in range(m) if c not in pivots)
-        scale = lcm(*(b[c] for c, b in basis))
-        vec = [0] * m
-        vec[free] = scale
-        for c, b in basis:
-            vec[c] = -b[free] * (scale // b[c])
+        vec, q = _solved(basis, free, m)
+        vec[free] = -q
         g = gcd(*vec)
-        d = tuple(v // g for v in vec)
+        d = tuple(-v // g for v in vec)
         for ray in (d, tuple(-v for v in d)):
             if all(sum(wi * di for wi, di in zip(w, ray)) <= 0 for w in rows):
                 raise UnboundedError(f"recession ray {ray} detected")
@@ -301,36 +301,23 @@ def _integral(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _normalize_plane(w: tuple[int, ...], c: int) -> tuple[tuple[int, ...], int]:
-    g = 0
-    for v in w:
-        g = gcd(g, v)
-    g = gcd(g, c)
-    if g == 0:
-        return w, c
-    w = tuple(v // g for v in w)
-    c //= g
-    lead = next((v for v in w if v != 0), 0)
-    if lead < 0:
-        return tuple(-v for v in w), -c
-    return w, c
-
-
 class _Region(NamedTuple):
     """A program on its equality subspace, in integers.
 
-    The subspace coordinates are t_j = x[free_j]; the point with coordinates
-    t is x = (x0 + sum_j t_j basis_j) / den.  Every linear form a . x - b is
-    kept as integers (w, c, s), s > 0, with a . x - b = (w . t - c) / s.
+    ``eq`` is the basis of the equality rows (a, b), a . x = b, at width
+    n + 1; the subspace coordinates are t_j = x[free_j], its non-pivot
+    columns, and each row solved for its pivot coordinate gives the rest of
+    x.  Every linear form a . x - b is kept as integers (w, c, s), s > 0,
+    with a . x - b = (w . t - c) / s, divided by their gcd, so it does not
+    depend on how the subspace was found.
     """
 
     free: tuple[int, ...]
-    x0: tuple[int, ...]
-    basis: tuple[tuple[int, ...], ...]
-    den: int
+    eq: _Basis
     ineq: list[tuple[tuple[int, ...], int]]  # w . t <= c, each w nonzero
-    # distinct boundary and +1 breakpoint planes, primitive with a positive lead
-    planes: list[tuple[tuple[int, ...], int]]
+    # distinct boundary and +1 breakpoint planes (*w, c), each its own
+    # one-row basis: primitive with a positive lead
+    planes: list[tuple[int, ...]]
     linear: tuple[tuple[int, ...], int, int]  # (w, c, scale // s) of the linear part
     hinges: list[tuple[int, tuple[int, ...], int, int]]  # (sign, w, c, scale // s)
     scale: int
@@ -338,6 +325,11 @@ class _Region(NamedTuple):
 
 def _region(p: PLProgram, empty: PLError) -> _Region:
     """Eliminate the equalities, project every form and certify boundedness.
+
+    The equality rows are folded into one basis; a pivot in its rhs column
+    means some combination of them reads 0 = b != 0.  A form is projected
+    by reducing its row (a, b) by that basis, which clears the pivot
+    columns and leaves w at the free columns and c in the rhs column.
 
     Boundedness is certified by the same pruned walk as the vertex
     enumeration, over the (m-1)-subsets of the constraint normals: each
@@ -351,30 +343,21 @@ def _region(p: PLProgram, empty: PLError) -> _Region:
     unbounded, in that order.
     """
     n = p.num_vars
-    mat, pivots = _echelon_int([_integral((*a, b))[0] for a, b in p.equalities])
+    eq: _Basis = []
+    for a, b in p.equalities:
+        eq = _extend(eq, _integral((*a, b))[0], n + 1) or eq
+    pivots = {c for c, _ in eq}
     if n in pivots:  # a pivot in the rhs column: some combination reads 0 = b != 0
         raise InfeasibleError("equality constraints are inconsistent")
-    den = mat[0][pivots[0]] if pivots else 1
-    if den < 0:
-        mat, den = [[-v for v in row] for row in mat], -den
     free = tuple(c for c in range(n) if c not in pivots)
-    x0 = [0] * n
-    for row, c in zip(mat, pivots):
-        x0[c] = row[n]
-    basis = []
-    for f in free:
-        col = [0] * n
-        col[f] = den
-        for row, c in zip(mat, pivots):
-            col[c] = -row[f]
-        basis.append(tuple(col))
+    den = lcm(*(b[c] for c, b in eq))  # the factor _reduce scales every row by
 
     def project(a: Vector, b: Fraction) -> tuple[tuple[int, ...], int, int]:
-        (*ai, bi), scale = _integral((*a, b))
-        w = [_dot(ai, col) for col in basis]
-        c = bi * den - _dot(ai, x0)
-        g = gcd(c, scale * den, *w)
-        return tuple(v // g for v in w), c // g, scale * den // g
+        row, scale = _integral((*a, b))
+        row = _reduce(eq, row)
+        w = [row[f] for f in free]
+        g = gcd(row[n], scale * den, *w)
+        return tuple(v // g for v in w), row[n] // g, scale * den // g
 
     m = len(free)
     ineq = []
@@ -387,8 +370,8 @@ def _region(p: PLProgram, empty: PLError) -> _Region:
     lin = project(p.objective_linear, Fraction(0))
     hinges = [(h.sign, *project(h.coeffs, h.rhs)) for h in p.hinges]
     planes = list(dict.fromkeys(
-        _normalize_plane(*plane)
-        for plane in ineq + [(w, c) for sign, w, c, _ in hinges if sign > 0 and any(w)]
+        _extend([], (*w, c), m)[0][1]
+        for w, c in ineq + [(w, c) for sign, w, c, _ in hinges if sign > 0 and any(w)]
     ))
 
     for count, what, size in (
@@ -405,7 +388,7 @@ def _region(p: PLProgram, empty: PLError) -> _Region:
 
     scale = lcm(lin[2], *(s for *_, s in hinges))
     return _Region(
-        free, tuple(x0), tuple(basis), den, ineq, planes,
+        free, eq, ineq, planes,
         (lin[0], lin[1], scale // lin[2]),
         [(sign, w, c, scale // s) for sign, w, c, s in hinges],
         scale,
@@ -425,10 +408,13 @@ def _numerator(r: _Region, tn: Sequence[int], q: int) -> int:
 
 def _lift(r: _Region, tn: Sequence[int], q: int) -> Vector:
     """The point x with subspace coordinates t = tn / q, in Fractions."""
-    return tuple(
-        Fraction(x0i * q + sum(col[i] * t for col, t in zip(r.basis, tn)), r.den * q)
-        for i, x0i in enumerate(r.x0)
-    )
+    n = len(r.free) + len(r.eq)
+    x = [Fraction(0)] * n
+    for f, t in zip(r.free, tn):
+        x[f] = Fraction(t, q)
+    for c, b in r.eq:  # b[c] x_c + sum_f b[f] t_f = b[n]
+        x[c] = Fraction(b[n] * q - sum(b[f] * t for f, t in zip(r.free, tn)), b[c] * q)
+    return tuple(x)
 
 
 # -- the solver ---------------------------------------------------------------
@@ -465,12 +451,9 @@ def solve(p: PLProgram) -> PLSolution:
     best: Optional[tuple[int, int]] = None  # (numerator, q) of the least value so far
     argmins: dict[tuple[tuple[int, ...], int], None] = {}
     vertices = infeasible = 0
-    for basis in _independent_subsets([(*w, c) for w, c in r.planes], m, m):
+    for basis in _independent_subsets(r.planes, m, m):
         vertices += 1
-        q = lcm(*(b[c] for c, b in basis))
-        tn = [0] * m
-        for c, b in basis:
-            tn[c] = b[m] * (q // b[c])
+        tn, q = _solved(basis, m, m)
         if any(_dot(w, tn) > c * q for w, c in r.ineq):
             infeasible += 1
             continue

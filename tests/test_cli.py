@@ -272,6 +272,16 @@ def test_oversized_program_exits_2_fast(tmp_path, capsys):
     assert "60 inequality planes in dimension m = 9 give 2558620845 subsets" in err
 
 
+def test_many_variable_program_exits_3_fast(tmp_path, capsys):
+    # nothing of size vars x vars is built before the boundedness check
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"vars": 5000}))
+    start = time.perf_counter()
+    assert main(["minimize", "--spec-file", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "no inequality constrains the affine subspace" in capsys.readouterr().err
+
+
 def test_oversized_strata_table_exits_2_fast(capsys):
     start = time.perf_counter()
     assert main(["strata", "-k", "4", "-g", "100000"]) == 2

@@ -167,7 +167,7 @@ def test_subset_limit_counts_only_enumerated_planes():
 
 
 def test_infeasible_region_is_reported():
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match="no intersection point satisfies all constraints"):
         solve(
             program(
                 num_vars=1,
@@ -175,7 +175,7 @@ def test_infeasible_region_is_reported():
                 objective_linear=[1],
             )
         )
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match="equality constraints are inconsistent"):
         solve(
             program(
                 num_vars=2,
@@ -183,6 +183,45 @@ def test_infeasible_region_is_reported():
                 objective_linear=[1, 0],
             )
         )
+
+
+# (program, error of solve, its text); sample_check raises the same, except
+# that it wraps an UnboundedError in a SamplingError
+REGION_ERRORS = [
+    (  # x + 2y + z = 3 less x + y = 1 and y + z = 1 reads 0 = 1
+        dict(num_vars=3, equalities=[([1, 1, 0], 1), ([0, 1, 1], 1), ([1, 2, 1], 3)]),
+        InfeasibleError,
+        "equality constraints are inconsistent",
+    ),
+    (
+        dict(num_vars=2, equalities=[([1, 1], 1)]),
+        UnboundedError,
+        "no inequality constrains the affine subspace",
+    ),
+    (
+        dict(num_vars=2, inequalities=[([1, 1], 1), ([-1, -1], 1)]),
+        UnboundedError,
+        "constraint normals do not span; region contains a line",
+    ),
+    (  # x = y, x >= 0 and x >= -1/2
+        dict(num_vars=2, equalities=[([1, -1], 0)], inequalities=[([-1, 0], 0), ([-2, 0], 1)]),
+        UnboundedError,
+        "feasible interval is a half line",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, error, text", REGION_ERRORS, ids=["inconsistent", "unconstrained", "line", "half_line"]
+)
+def test_region_error_texts(spec, error, text):
+    p = program(**spec)
+    with pytest.raises(error, match=f"^{text}$"):
+        solve(p)
+    if error is UnboundedError:
+        error, text = SamplingError, f"region is unbounded: {text}"
+    with pytest.raises(error, match=f"^{text}$"):
+        sample_check(p, trials=5, seed=0)
 
 
 # -- presets ----------------------------------------------------------------------
@@ -555,6 +594,43 @@ def test_redundant_constraints_and_positive_scaling(random_program_factory):
         scaled_sol = solve(scaled)
         assert scaled_sol.min_value == lam * sol.min_value
         assert scaled_sol.argmin_points == sol.argmin_points
+
+
+def test_equalities_embedding_a_program_change_nothing(random_program_factory):
+    """New variables pinned by equalities leave the solve as it was.
+
+    Each random program in x gets k = 1-3 leading variables y, with
+    d_i y_i - M_i . x = v_i, d_i in {1, 2, 3}, and a doubled copy of one of
+    those rows, so the equality subspace is parametrised by x itself.  The
+    minimum, the five counts and the x-parts of the argmins are those of the
+    program in x.
+    """
+    rng = random.Random(20261020)
+    for _ in range(300):
+        p = random_program_factory(rng)
+        n, k = p.num_vars, rng.randint(1, 3)
+        pad = [0] * k
+        eqs = [
+            (
+                [rng.randint(1, 3) * int(j == i) for j in range(k)] + [rng.randint(-3, 3) for _ in range(n)],
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+            )
+            for i in range(k)
+        ]
+        a, b = rng.choice(eqs)
+        eqs.insert(rng.randint(0, k), ([2 * v for v in a], 2 * b))
+        embedded = program(
+            num_vars=k + n,
+            equalities=eqs,
+            inequalities=[(pad + list(a), b) for a, b in p.inequalities],
+            objective_linear=pad + list(p.objective_linear),
+            objective_const=p.objective_const,
+            hinges=[(h.sign, pad + list(h.coeffs), h.rhs) for h in p.hinges],
+        )
+        sol, got = solve(p), solve(embedded)
+        assert got.min_value == sol.min_value and got[2:] == sol[2:]
+        assert sorted(x[k:] for x in got.argmin_points) == list(sol.argmin_points)
+        assert all(is_feasible(embedded, x) for x in got.argmin_points)
 
 
 # -- the concavity shortcut against the full arrangement -----------------------------
