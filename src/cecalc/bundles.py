@@ -10,14 +10,17 @@ Three spaces appear, stacked over a base B whose Chow ring is a truncated
     off Q.
   * A projective sub-bundle gamma: P(E^v) -> P for a bundle E on P of rank
     r.  Its ring is A*(P)[zeta] / (zeta^r + c1(E^v) zeta^{r-1} + ... +
-    c_r(E^v)); elements are ``ZetaClass`` values kept eagerly reduced, so
-    the pushforward gamma_* reads off the zeta^{r-1} coefficient.
+    c_r(E^v)).  ``ZetaClass`` holds the classes of zeta-degree below r,
+    c_0 + c_1 zeta + ... + c_{r-1} zeta^{r-1}, which the relation does not
+    touch, so the pushforward gamma_* reads off the zeta^{r-1} coefficient.
+    Nothing here multiplies two such classes or reduces by the relation:
+    ``hurwitz.kappa`` pushes the powers of zeta forward in closed form.
 
 Vector bundles on P are carried around as Chern characters (``BundleChar``):
 one element rank + ch_1 + ch_2 + ... of A*(P), whose graded pieces are
-views.  Chern classes are converted to and from characters by Newton's
-identities.  Tensor is the ring product, dual and Adams are psi^k (degree d
-scaled by k^d), and Sym^2, wedge^2 are (ch^2 +- psi^2 ch) / 2.
+views.  Chern classes are converted to characters by Newton's identities.
+Tensor is the ring product, dual and Adams are psi^k (degree d scaled by
+k^d), and Sym^2, wedge^2 are (ch^2 +- psi^2 ch) / 2.
 """
 
 from __future__ import annotations
@@ -242,24 +245,6 @@ def chern_from_parts(
     return BundleChar(total)
 
 
-def chern_of(b: BundleChar) -> list[FiberClass]:
-    """Chern classes c_1, ..., c_min(rank, D-1) recovered from a character.
-
-    Inverse Newton: k c_k = sum_{i=1..k} (-1)^{i-1} c_{k-i} p_i.
-    """
-    ring = b.ring
-    top = min(b.rank, ring.truncation - 1) if b.rank >= 0 else ring.truncation - 1
-    p = [b.ch(d) * factorial(d) for d in range(1, ring.truncation)]
-    cs: list[FiberClass] = [FiberClass.const(ring, 1)]
-    for k in range(1, top + 1):
-        acc = FiberClass.zero(ring)
-        for i in range(1, k + 1):
-            term = cs[k - i] * p[i - 1]
-            acc = acc + (term if i % 2 == 1 else -term)
-        cs.append(acc * Fraction(1, k))
-    return cs[1:]
-
-
 def _psi(b: BundleChar, k: int) -> BundleChar:
     """psi^k for any nonzero integer k: the degree-d part times k^d."""
     total = FiberClass.zero(b.ring)
@@ -304,14 +289,13 @@ def wedge2(b: BundleChar) -> BundleChar:
 
 
 class ZetaRing:
-    """A*(P)[zeta] modulo the rank-r monic relation for P(E^v) -> P.
+    """Classes of zeta-degree below r on P(E^v) -> P, r being the rank of E.
 
-    Built from the character of E; the relation coefficients are the Chern
-    classes of E^v, so the reduction rule is
-    zeta^r = -(c_1(E^v) zeta^{r-1} + ... + c_r(E^v)).
+    Built from the character of E, which gives the base ring and the rank;
+    the ring must hold the degree-r relation, so its truncation exceeds r.
     """
 
-    __slots__ = ("ring", "rank", "dual_chern")
+    __slots__ = ("ring", "rank")
 
     def __init__(self, e_char: BundleChar):
         ring = e_char.ring
@@ -324,90 +308,37 @@ class ZetaRing:
             )
         self.ring = ring
         self.rank = r
-        self.dual_chern = tuple(chern_of(dual(e_char)))  # c_1(E^v), ..., c_r(E^v)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZetaRing):
-            return NotImplemented
-        return self.rank == other.rank and self.dual_chern == other.dual_chern
-
-    __hash__ = None
 
     def zero(self) -> "ZetaClass":
         return ZetaClass(self, [])
 
-    def const(self, value: Scalar) -> "ZetaClass":
-        return self.of_fiber(FiberClass.const(self.ring, value))
-
-    def of_fiber(self, c: FiberClass) -> "ZetaClass":
-        return ZetaClass(self, [c])
-
     def zeta_power(self, n: int) -> "ZetaClass":
-        """zeta^n, reduced."""
+        """zeta^n for 0 <= n < r."""
         raw = [FiberClass.zero(self.ring)] * (n + 1)
         raw[n] = FiberClass.const(self.ring, 1)
         return ZetaClass(self, raw)
 
 
 class ZetaClass:
-    """Reduced polynomial c_0 + c_1 zeta + ... + c_{r-1} zeta^{r-1}."""
+    """Polynomial c_0 + c_1 zeta + ... + c_{r-1} zeta^{r-1}, padded to r
+    coefficients; a longer one would need the relation and is refused."""
 
     __slots__ = ("zring", "coeffs")
 
     def __init__(self, zring: ZetaRing, coeffs: Sequence[FiberClass]):
-        self.zring = zring
-        self.coeffs = tuple(self._reduce(zring, list(coeffs)))
-
-    @staticmethod
-    def _reduce(zring: ZetaRing, raw: list[FiberClass]) -> list[FiberClass]:
         r = zring.rank
-        zero = FiberClass.zero(zring.ring)
-        while len(raw) < r:
-            raw.append(zero)
-        for m in range(len(raw) - 1, r - 1, -1):
-            head = raw[m]
-            if head.is_zero():
-                continue
-            raw[m] = zero
-            for i, ci in enumerate(zring.dual_chern, start=1):
-                raw[m - i] = raw[m - i] - ci * head
-        return raw[:r]
+        if len(coeffs) > r:
+            raise ValueError(f"zeta-degree {len(coeffs) - 1} needs the rank-{r} relation")
+        self.zring = zring
+        self.coeffs = tuple(coeffs) + (FiberClass.zero(zring.ring),) * (r - len(coeffs))
 
     def __add__(self, other: "ZetaClass") -> "ZetaClass":
         return ZetaClass(self.zring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self) -> "ZetaClass":
-        return ZetaClass(self.zring, [-a for a in self.coeffs])
-
-    def __sub__(self, other: "ZetaClass") -> "ZetaClass":
-        return self + (-other)
-
-    def __mul__(self, other: Union["ZetaClass", FiberClass, Scalar]) -> "ZetaClass":
-        if isinstance(other, (int, Fraction)):
-            return ZetaClass(self.zring, [a * other for a in self.coeffs])
-        if isinstance(other, FiberClass):
-            return ZetaClass(self.zring, [a * other for a in self.coeffs])
-        r = self.zring.rank
-        zero = FiberClass.zero(self.zring.ring)
-        raw = [zero] * (2 * r - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                raw[i + j] = raw[i + j] + a * b
-        return ZetaClass(self.zring, raw)
+    def __mul__(self, other: Union[FiberClass, Scalar]) -> "ZetaClass":
+        return ZetaClass(self.zring, [a * other for a in self.coeffs])
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "ZetaClass":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.zring.const(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ZetaClass):
@@ -415,9 +346,6 @@ class ZetaClass:
         return self.coeffs == other.coeffs
 
     __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     def text(self) -> str:
         parts = []
@@ -435,7 +363,7 @@ class ZetaClass:
 
 
 def push_gamma(c: ZetaClass) -> FiberClass:
-    """gamma_* of a reduced class: the zeta^{r-1} coefficient."""
+    """gamma_*: the zeta^{r-1} coefficient, as gamma_* zeta^j = 0 for j < r-1."""
     return c.coeffs[-1]
 
 

@@ -10,14 +10,21 @@ P(E^v).  Writing c_i(E) = a_i + a_i' z and c_i(F) = b_i + b_i' z, the classes
 generate the ring where all the computations below take place.  The built
 in identities are a_1' = g+k-1 and c_1(F) = m c_1(E), that is
 det F = (det E)^m, with m = 1, 1, 2 for k = 3, 4, 5.  So one rule builds
-the ring and both characters from the two ranks; for k = 3, F is the line
-bundle det E.  A symbolic genus is handled by a degree-0 generator ``g``,
+the ring and the Chern data of both bundles from the two ranks; for k = 3,
+F is the line bundle det E.  A symbolic genus is handled by a degree-0 generator ``g``,
 so kappa-class coefficients come out as polynomials in g.
 
 The universal curve class [C] in P(E^v) is assembled from character pieces
 of the resolution bundles, and the kappa classes are
 
     kappa_i = pi_* gamma_*([C] . (zeta - 2z)^{i+1}).
+
+With r = k - 1, [C] = sum_{a<r} C_a zeta^a and the Segre classes h_n of E^v
+(sum_n h_n t^n = 1 / c_t(E^v), so gamma_* zeta^{r-1+n} = h_n), this is
+
+    kappa_i = pi_* sum_{a,b} C(i+1, b) C_a (-2z)^{i+1-b} h_{a+b-r+1},
+
+and no product of zeta classes is formed or reduced.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .bundles import (
     chern_from_parts,
     det,
     dual,
-    push_gamma,
     push_pi,
     tensor,
     zeta_twisted_ch,
@@ -93,21 +99,31 @@ def presentation(k: int, genus: int) -> tuple[tuple[tuple[str, int], ...], int]:
 
 
 class CESetup(NamedTuple):
-    """A covering degree, its class ring, and the two bundle characters."""
+    """A covering degree, its class ring, and the Chern data of E and F,
+    from which their characters are built on demand."""
 
     degree: int
     genus: Optional[int]  # None means symbolic
     ring: RingSpec
-    e_char: BundleChar
-    f_char: BundleChar  # equals det(E) when degree == 3
+    e_chern: tuple[tuple[GradedPoly, GradedPoly], ...]  # (a_i, a_i') of c_i(E)
+    f_chern: tuple[tuple[GradedPoly, GradedPoly], ...]  # likewise for F
 
     @property
     def symbolic(self) -> bool:
         return self.genus is None
 
+    @property
+    def e_char(self) -> BundleChar:
+        return chern_from_parts(self.ring, self.e_chern, len(self.e_chern))
+
+    @property
+    def f_char(self) -> BundleChar:
+        """The character of F; it equals det(E) when degree == 3."""
+        return chern_from_parts(self.ring, self.f_chern, len(self.f_chern))
+
 
 def ce_setup(k: int, genus: Optional[int] = None, truncation: int = 8) -> CESetup:
-    """Build the class ring and universal bundle characters for degree k.
+    """Build the class ring and the Chern data of the universal bundles.
 
     ``genus=None`` adds a weight-0 generator ``g`` and keeps the genus
     symbolic.  The truncation order bounds every computation downstream;
@@ -124,16 +140,16 @@ def ce_setup(k: int, genus: Optional[int] = None, truncation: int = 8) -> CESetu
         ring = RingSpec(_generators(k), truncation)
         a1p = ring.const(genus + k - 1)
 
-    chars = []
+    chern = []
     for letter, rank, m in _bundles(k):
         parts = [(ring.gen("a1") * m, a1p * m)]
         parts += [(ring.gen(f"{letter}{i}"), ring.gen(f"{letter}{i}'")) for i in range(2, rank + 1)]
-        chars.append(chern_from_parts(ring, parts, rank))
-    e_char, f_char = chars
-    return CESetup(degree=k, genus=genus, ring=ring, e_char=e_char, f_char=f_char)
+        chern.append(tuple(parts))
+    e_chern, f_chern = chern
+    return CESetup(degree=k, genus=genus, ring=ring, e_chern=e_chern, f_chern=f_chern)
 
 
-def curve_class(setup: CESetup, zring: Optional[ZetaRing] = None) -> ZetaClass:
+def curve_class(setup: CESetup) -> ZetaClass:
     """The class of the universal curve in P(E^v), of degree k-2.
 
     Assembled as the alternating sum of degree-(k-2) character pieces of
@@ -144,16 +160,16 @@ def curve_class(setup: CESetup, zring: Optional[ZetaRing] = None) -> ZetaClass:
         k=5:  -ch_3(F (-2)) + ch_3((F^v . det E)(-3)) - ch_3(det E (-5))
     """
     k = setup.degree
-    if zring is None:
-        zring = ZetaRing(setup.e_char)
-    det_e = det(setup.e_char)
+    e_char, f_char = setup.e_char, setup.f_char
+    zring = ZetaRing(e_char)
+    det_e = det(e_char)
     if k == 3:
         terms = [(-1, det_e, -3)]
     elif k == 4:
-        terms = [(-1, setup.f_char, -2), (1, det_e, -4)]
+        terms = [(-1, f_char, -2), (1, det_e, -4)]
     else:
-        middle = tensor(dual(setup.f_char), det_e)
-        terms = [(-1, setup.f_char, -2), (1, middle, -3), (-1, det_e, -5)]
+        middle = tensor(dual(f_char), det_e)
+        terms = [(-1, f_char, -2), (1, middle, -3), (-1, det_e, -5)]
     acc = zring.zero()
     for sign, char, n in terms:
         acc = acc + zeta_twisted_ch(char, n, k - 2, zring) * sign
@@ -169,22 +185,56 @@ class KappaResult(NamedTuple):
 
 
 def kappa(setup: CESetup, i: int) -> KappaResult:
-    """kappa_i = pi_* gamma_*([C] . (zeta - 2z)^{i+1})."""
+    """kappa_i = pi_* gamma_*([C] . (zeta - 2z)^{i+1}), in closed form.
+
+    Expanding (zeta - 2z)^{i+1} binomially, with r = k - 1,
+
+        kappa_i = pi_* sum_{a,b} C(i+1, b) C_a (-2z)^{i+1-b} h_{a+b-r+1},
+
+    since the relation of P(E^v) gives gamma_* zeta^{r-1+n} = h_n, the
+    Segre classes of E^v (h_n = 0 for n < 0).  As c_j(E^v) = (-1)^j c_j(E),
+
+        h_0 = 1,  h_n = -sum_{j=1..min(n,r)} (-1)^j c_j(E) h_{n-j},
+
+    with c_j(E) = a_j + a_j' z off the setup.  [C] = sum_{a<r} C_a zeta^a
+    does not depend on the truncation: it is built at k and lifted.
+    """
     if i < 0:
         raise ValueError(f"kappa index must be >= 0, got {i}")
     k = setup.degree
     needed = (k - 2) + (i + 1)
-    if needed >= setup.ring.truncation:
+    ring = setup.ring
+    if needed >= ring.truncation:
         raise ValueError(
-            f"truncation {setup.ring.truncation} too small for kappa_{i} "
+            f"truncation {ring.truncation} too small for kappa_{i} "
             f"at degree {k} (needs > {needed})"
         )
-    zring = ZetaRing(setup.e_char)
-    c_class = curve_class(setup, zring)
-    omega = zring.zeta_power(1) - zring.of_fiber(FiberClass.z(setup.ring) * 2)
-    total = c_class * omega ** (i + 1)
-    poly = push_pi(push_gamma(total))
-    return KappaResult(index=i, degree=k, polynomial=poly)
+    r = k - 1
+    chern = [FiberClass(a, ap) for a, ap in setup.e_chern]
+    segre = [FiberClass.const(ring, 1)]
+    for n in range(1, i + 2):
+        acc = FiberClass.zero(ring)
+        for j in range(1, min(n, r) + 1):
+            term = chern[j - 1] * segre[n - j]
+            acc = acc + term if j % 2 == 1 else acc - term
+        segre.append(acc)
+    c_class = [
+        FiberClass(c.base.retruncate(ring), c.zpart.retruncate(ring))
+        for c in curve_class_value(k, setup.genus, k).coeffs
+    ]
+    minus_2z = FiberClass.z(ring) * -2
+    powers = [FiberClass.const(ring, 1)]
+    for _ in range(i + 1):
+        powers.append(powers[-1] * minus_2z)
+    # the zeta^b coefficients C(i+1, b) (-2z)^{i+1-b} of (zeta - 2z)^{i+1}
+    omega = [powers[i + 1 - b] * comb(i + 1, b) for b in range(i + 2)]
+    total = FiberClass.zero(ring)
+    for a, c in enumerate(c_class):
+        pushed = FiberClass.zero(ring)  # gamma_*(zeta^a (zeta - 2z)^{i+1})
+        for b in range(r - 1 - a, i + 2):
+            pushed = pushed + omega[b] * segre[a + b - r + 1]
+        total = total + c * pushed
+    return KappaResult(index=i, degree=k, polynomial=push_pi(total))
 
 
 def curve_class_value(k: int, genus: Union[int, None], truncation: int) -> ZetaClass:
@@ -198,17 +248,8 @@ def curve_class_value(k: int, genus: Union[int, None], truncation: int) -> ZetaC
 
 
 def kappa_value(k: int, i: int, genus: Union[int, None], truncation: Optional[int] = None) -> GradedPoly:
-    """Build a setup and return the kappa_i polynomial in the truncation-T ring.
-
-    Default T is i + k + 2.  kappa_i is homogeneous of degree i and every
-    class it is computed from is homogeneous, so it is computed at the
-    smallest truncation that holds it, i + k, and lifted back to the T ring.
-    A T below that minimum is passed on as it is and raises kappa's error.
-    """
+    """Build a setup and return the kappa_i polynomial in the truncation-T
+    ring; the default T is i + k + 2."""
     if truncation is None:
         truncation = i + k + 2
-    # The floor of 2 keeps a negative index on kappa's own error.
-    setup = ce_setup(k, genus, min(truncation, max(i + k, 2)))
-    poly = kappa(setup, i).polynomial
-    ring = setup.ring
-    return poly.retruncate(RingSpec(list(zip(ring.names, ring.degrees)), truncation))
+    return kappa(ce_setup(k, genus, truncation), i).polynomial

@@ -106,18 +106,28 @@ def program(
     objective_const: Scalar = 0,
     hinges: Sequence[tuple[int, Sequence[Scalar], Scalar]] = (),
 ) -> PLProgram:
-    """Build a PLProgram, coercing every number to Fraction and validating."""
+    """Build a PLProgram, coercing every number to Fraction and validating.
+
+    A program with no equality and no inequality is all of R^n, so once
+    the given vectors are validated it raises UnboundedError, before the
+    default objective or anything else of size n is built.
+    """
     if num_vars < 1:
         raise ValueError(f"need at least one variable, got {num_vars}")
     eqs = tuple((_vec(a, num_vars, "equality"), Fraction(b)) for a, b in equalities)
     les = tuple((_vec(a, num_vars, "inequality"), Fraction(b)) for a, b in inequalities)
-    lin = _vec(objective_linear or [0] * num_vars, num_vars, "objective")
+    lin = _vec(objective_linear, num_vars, "objective") if objective_linear else None
     hs = []
     for sign, coeffs, rhs in hinges:
         if sign not in (1, -1):
             raise ValueError(f"hinge sign must be +1 or -1, got {sign}")
         hs.append(Hinge(sign, _vec(coeffs, num_vars, "hinge"), Fraction(rhs)))
-    return PLProgram(num_vars, eqs, les, lin, Fraction(objective_const), tuple(hs))
+    const = Fraction(objective_const)
+    if not eqs and not les:
+        raise UnboundedError("no inequality constrains the affine subspace")
+    if lin is None:
+        lin = (Fraction(0),) * num_vars
+    return PLProgram(num_vars, eqs, les, lin, const, tuple(hs))
 
 
 class PLSolution(NamedTuple):
@@ -765,7 +775,7 @@ def program_from_json(data: dict) -> PLProgram:
         equalities=[row(r) for r in _field(data, "eq", list, [])],
         inequalities=[row(r) for r in _field(data, "le", list, [])],
         objective_linear=[
-            _number(v, "entry of key 'lin'") for v in _field(obj, "lin", list, [0] * n)
+            _number(v, "entry of key 'lin'") for v in _field(obj, "lin", list, [])
         ],
         objective_const=_number(obj.get("const", 0), "key 'const'"),
         hinges=[

@@ -11,8 +11,6 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-import pytest
-
 from cecalc import bundles, hurwitz, plmin, splitting
 from cecalc.bundles import BundleChar, FiberClass, o_z, push_gamma
 from cecalc.gring import RingSpec

@@ -8,14 +8,11 @@ import pytest
 from cecalc.bundles import (
     BundleChar,
     FiberClass,
-    ZetaClass,
     ZetaRing,
     adams,
     chern_from_parts,
-    chern_of,
     det,
     dual,
-    line_bundle,
     o_z,
     push_gamma,
     push_pi,
@@ -26,6 +23,7 @@ from cecalc.bundles import (
 )
 from cecalc.gring import RingSpec
 from cecalc.splitting import SplittingType, sym2_type, tensor_type, wedge2_type
+from zeta_oracle import ZetaRelation, chern_of
 
 
 def base_ring(truncation=6, extra=()):
@@ -203,12 +201,12 @@ def rank3_bundle(ring):
 def test_zeta_relation_annihilates():
     ring = quartic_like_ring()
     e = rank3_bundle(ring)
-    zr = ZetaRing(e)
+    rel = ZetaRelation(e)
     # zeta^r + c1(E^v) zeta^{r-1} + ... + c_r(E^v) reduces to zero
-    acc = zr.zeta_power(zr.rank)
-    for i, ci in enumerate(zr.dual_chern, start=1):
-        acc = acc + zr.zeta_power(zr.rank - i) * ci
-    assert acc.is_zero()
+    acc = rel.zeta_power(rel.rank)
+    for i, ci in enumerate(rel.dual_chern, start=1):
+        acc = acc + rel.zeta_power(rel.rank - i) * ci
+    assert all(c.is_zero() for c in acc.coeffs)
 
 
 def test_push_gamma_basis_values():
@@ -223,20 +221,27 @@ def test_push_gamma_of_zeta_rank_for_rank2_dual():
     ring = base_ring(truncation=5, extra=[("a1", 1), ("a2", 2)])
     parts = [(ring.gen("a1"), ring.const(3)), (ring.gen("a2"), ring.gen("a1"))]
     e = chern_from_parts(ring, parts, 2)
-    zr = ZetaRing(e)
+    rel = ZetaRelation(e)
     # one reduction step: gamma_*(zeta^2) = -c1(E^v) = c1(E)
-    assert push_gamma(zr.zeta_power(2)) == chern_of(e)[0]
+    assert push_gamma(rel.zeta_power(2)) == chern_of(e)[0]
 
 
 def test_negative_powers_are_errors():
     ring = quartic_like_ring()
-    zr = ZetaRing(rank3_bundle(ring))
+    rel = ZetaRelation(rank3_bundle(ring))
     with pytest.raises(ValueError, match="negative"):
         FiberClass.z(ring) ** -1
     with pytest.raises(ValueError, match="negative"):
-        zr.zeta_power(1) ** -2
+        rel.power(rel.zeta_power(1), -2)
     assert FiberClass.z(ring) ** 0 == FiberClass.const(ring, 1)
-    assert zr.zeta_power(1) ** 0 == zr.const(1)
+    assert rel.power(rel.zeta_power(1), 0) == rel.of_fiber(FiberClass.const(ring, 1))
+
+
+def test_zeta_classes_stop_below_the_relation():
+    zr = ZetaRing(rank3_bundle(quartic_like_ring()))
+    assert zr.zeta_power(2).coeffs[2] == FiberClass.const(zr.ring, 1)
+    with pytest.raises(ValueError, match="zeta-degree 3 needs the rank-3 relation"):
+        zr.zeta_power(3)
 
 
 def test_zeta_ring_requires_room_for_the_relation():

@@ -282,6 +282,20 @@ def test_many_variable_program_exits_3_fast(tmp_path, capsys):
     assert "no inequality constrains the affine subspace" in capsys.readouterr().err
 
 
+def test_unconstrained_program_exits_3_before_building_its_objective(tmp_path, capsys):
+    # no rows: the region is all of R^n, refused before anything of size n
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vars": 1000000}))
+    start = time.perf_counter()
+    assert main(["minimize", "--spec-file", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: no inequality constrains the affine subspace\n"
+    # a malformed document still exits 2 first
+    path.write_text(json.dumps({"vars": 1000000, "obj": {"lin": ["1"]}}))
+    assert main(["minimize", "--spec-file", str(path)]) == 2
+    assert "objective has length 1, expected 1000000" in capsys.readouterr().err
+
+
 def test_oversized_strata_table_exits_2_fast(capsys):
     start = time.perf_counter()
     assert main(["strata", "-k", "4", "-g", "100000"]) == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cecalc.bundles import FiberClass, ZetaRing, chern_of, det, dual, push_gamma
+from cecalc.bundles import FiberClass, ZetaClass, ZetaRing, det, dual, push_gamma
 from cecalc.hurwitz import (
     ce_rank,
     ce_setup,
@@ -12,6 +12,7 @@ from cecalc.hurwitz import (
     kappa_value,
     presentation,
 )
+from zeta_oracle import chern_of, kappa_reference, lift
 
 
 # -- setup rings ---------------------------------------------------------------
@@ -68,9 +69,9 @@ def test_setup_rejects_bad_degree_and_truncation():
 def test_trigonal_curve_class_closed_form():
     s = ce_setup(3, genus=None, truncation=5)
     zr = ZetaRing(s.e_char)
-    got = curve_class(s, zr)
+    got = curve_class(s)
     c1e = chern_of(s.e_char)[0]
-    want = zr.zeta_power(1) * 3 - zr.of_fiber(c1e)  # 3 zeta - c1(E)
+    want = ZetaClass(zr, [-c1e, FiberClass.const(s.ring, 3)])  # 3 zeta - c1(E)
     assert got == want
 
 
@@ -79,12 +80,8 @@ def test_quartic_curve_class_is_twisted_second_chern_class():
     s = ce_setup(4, genus=None, truncation=6)
     zr = ZetaRing(s.e_char)
     fv = chern_of(dual(s.f_char))
-    want = (
-        zr.zeta_power(2) * 4
-        + zr.zeta_power(1) * (fv[0] * 2)
-        + zr.of_fiber(fv[1])
-    )
-    assert curve_class(s, zr) == want
+    want = ZetaClass(zr, [fv[1], fv[0] * 2, FiberClass.const(s.ring, 4)])
+    assert curve_class(s) == want
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -133,18 +130,33 @@ BENCH_CELLS = [(k, i) for k in (3, 4, 5) for i in range(6) if (k, i) not in ((5,
 
 @pytest.mark.parametrize("k,i", BENCH_CELLS)
 def test_kappa_value_matches_the_full_ring(k, i):
-    # kappa_value computes at truncation i + k and lifts; the reference runs
-    # the whole pipeline in the truncation-T ring.
+    # kappa_value lifts [C] from truncation k and pushes zeta forward through
+    # the Segre classes; the reference builds [C] in the truncation-T ring
+    # and multiplies and reduces there.
     for truncation in (i + k + 2, i + k + 4):
-        full = kappa(ce_setup(k, 23, truncation), i).polynomial
+        s = ce_setup(k, 23, truncation)
+        full = kappa_reference(curve_class(s), s.e_char, i)
         assert kappa_value(k, i, 23, truncation) == full
 
 
 @pytest.mark.parametrize("k,i", [(3, 3), (4, 2), (5, 1), (5, 2)])
 def test_symbolic_kappa_value_matches_the_full_ring(k, i):
     for truncation in (i + k + 2, i + k + 4):
-        full = kappa(ce_setup(k, None, truncation), i).polynomial
+        s = ce_setup(k, None, truncation)
+        full = kappa_reference(curve_class(s), s.e_char, i)
         assert kappa_value(k, i, None, truncation) == full
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("genus", [None, 7, 40])
+def test_segre_kappa_matches_the_reduced_product(k, genus):
+    # the closed form against [C] . (zeta - 2z)^{i+1} multiplied and reduced
+    # in the quotient ring, at the smallest truncation that holds kappa_i
+    for i in range(7):
+        s = ce_setup(k, genus, i + k)
+        e_char = s.e_char
+        c_class = lift(curve_class_value(k, genus, k), ZetaRing(e_char))
+        assert kappa(s, i).polynomial == kappa_reference(c_class, e_char, i)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

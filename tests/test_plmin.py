@@ -113,6 +113,14 @@ def test_unbounded_region_is_reported():
         solve(program(num_vars=2, inequalities=[([1, 0], 1)], objective_linear=[1, 1]))
 
 
+def test_a_program_without_rows_is_refused_as_unbounded():
+    with pytest.raises(UnboundedError, match="no inequality constrains the affine subspace"):
+        program(num_vars=3, hinges=[(1, [1, 0, 0], 0)])
+    with pytest.raises(ValueError, match="hinge has length 1"):
+        program(num_vars=3, hinges=[(1, [1], 0)])  # malformed input is reported first
+    assert solve(program(num_vars=1, equalities=[([1], 2)])).min_value == 0
+
+
 def test_recession_ray_found_through_a_subset_in_four_variables():
     # u_i = x_i - w >= 0 for i < 3, u_1 + u_2 + u_3 <= 1, w >= 0: a simplex
     # swept along (1, 1, 1, 1).  The normals span R^4, so only the null

@@ -1,5 +1,6 @@
-"""Source-level guards: the library computes in exact arithmetic only,
-imports nothing it does not use, and defines nothing that nobody reads."""
+"""Source-level guards: the library computes in exact arithmetic only, it
+and its tests import nothing they do not use, and the library defines
+nothing that nobody reads."""
 
 import ast
 from collections import Counter
@@ -9,9 +10,9 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "cecalc").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # Where a library name may be read: the library, its tests and the benchmark.
-READERS = SOURCES + sorted((ROOT / "tests").glob("*.py"))
-READERS += sorted((ROOT / "perfbench").glob("*.py"))
+READERS = SOURCES + TESTS + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def inexact_nodes(tree):
@@ -73,7 +74,7 @@ def unused_imports(tree):
                     yield node.lineno, name
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [f"{path.name}:{line} {name}" for line, name in unused_imports(tree)]
