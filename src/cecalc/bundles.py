@@ -6,8 +6,10 @@ Three spaces appear, stacked over a base B whose Chow ring is a truncated
   * B itself: classes are plain ``GradedPoly`` values.
   * The P^1-bundle pi: P -> B.  Its ring is A*(B)[z] / (z^2 + c2), where c2
     is a distinguished degree-2 generator of the base ring named ``"c2"``.
-    Elements are ``FiberClass`` pairs P + Q*z; the pushforward pi_* reads
-    off Q.
+    As c2 = -z^2 is free, this quotient is itself a truncated polynomial
+    ring, ``fiber_ring(base)``: the base generators with ``z`` of weight 1
+    in the slot of c2.  ``split`` writes its classes as P + Q*z with P, Q
+    in the base ring, and the pushforward pi_* reads off Q.
   * A projective sub-bundle gamma: P(E^v) -> P for a bundle E on P of rank
     r.  Its ring is A*(P)[zeta] / (zeta^r + c1(E^v) zeta^{r-1} + ... +
     c_r(E^v)).  ``ZetaClass`` holds the classes of zeta-degree below r,
@@ -17,127 +19,80 @@ Three spaces appear, stacked over a base B whose Chow ring is a truncated
     ``hurwitz.kappa`` pushes the powers of zeta forward in closed form.
 
 Vector bundles on P are carried around as Chern characters (``BundleChar``):
-one element rank + ch_1 + ch_2 + ... of A*(P), whose graded pieces are
-views.  Chern classes are converted to characters by Newton's identities.
-Tensor is the ring product, dual and Adams are psi^k (degree d scaled by
-k^d), and Sym^2, wedge^2 are (ch^2 +- psi^2 ch) / 2.
+one element rank + ch_1 + ch_2 + ... of the fiber ring, whose graded pieces
+are its degree parts.  Chern classes are converted to characters by
+Newton's identities.  Tensor is the ring product, dual and Adams are psi^k
+(degree d scaled by k^d), and Sym^2, wedge^2 are (ch^2 +- psi^2 ch) / 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Sequence, Union
 
-from .gring import GradedPoly, RingSpec, Scalar, _trusted
+from .gring import GradedPoly, RingSpec, Scalar
+
+# Classes of A*(P) are fiber-ring ``GradedPoly`` values.  The name is kept
+# for the benchmark tracer (perfbench/tracing.py), which wraps
+# ``FiberClass.__mul__`` by name.
+FiberClass = GradedPoly
 
 
-class FiberClass:
-    """Element P + Q*z of A*(P); z has degree 1 and z^2 = -c2."""
-
-    __slots__ = ("ring", "base", "zpart")
-
-    def __init__(self, base: GradedPoly, zpart: GradedPoly):
-        if base.ring != zpart.ring:
-            raise ValueError("base part and z part live in different rings")
-        self.ring = base.ring
-        self.base = base
-        self.zpart = zpart
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring: RingSpec) -> "FiberClass":
-        return cls(ring.zero(), ring.zero())
-
-    @classmethod
-    def const(cls, ring: RingSpec, value: Scalar) -> "FiberClass":
-        return cls(ring.const(value), ring.zero())
-
-    @classmethod
-    def z(cls, ring: RingSpec) -> "FiberClass":
-        return cls(ring.zero(), ring.one())
-
-    def _c2(self) -> GradedPoly:
-        return self.ring.gen("c2")
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "FiberClass") -> "FiberClass":
-        return FiberClass(self.base + other.base, self.zpart + other.zpart)
-
-    def __neg__(self) -> "FiberClass":
-        return FiberClass(-self.base, -self.zpart)
-
-    def __sub__(self, other: "FiberClass") -> "FiberClass":
-        return self + (-other)
-
-    def __mul__(self, other: Union["FiberClass", Scalar]) -> "FiberClass":
-        if isinstance(other, (int, Fraction)):
-            return FiberClass(self.base * other, self.zpart * other)
-        # (P1 + Q1 z)(P2 + Q2 z) with z^2 = -c2
-        base = self.base * other.base - self._c2() * (self.zpart * other.zpart)
-        zpart = self.base * other.zpart + self.zpart * other.base
-        return FiberClass(base, zpart)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "FiberClass":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = FiberClass.const(self.ring, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiberClass):
-            return NotImplemented
-        return self.base == other.base and self.zpart == other.zpart
-
-    __hash__ = None
-
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.base.is_zero() and self.zpart.is_zero()
-
-    def degree_part(self, degree: int) -> "FiberClass":
-        """Total-degree-d part; the z part contributes degree deg+1."""
-        zdeg = degree - 1
-        zp = self.zpart.degree_part(zdeg) if zdeg >= 0 else self.ring.zero()
-        return FiberClass(self.base.degree_part(degree), zp)
-
-    def is_homogeneous(self, degree: int) -> bool:
-        ok_base = self.base.is_homogeneous(degree)
-        ok_z = self.zpart.is_zero() if degree == 0 else self.zpart.is_homogeneous(degree - 1)
-        return ok_base and ok_z
-
-    def text(self) -> str:
-        if self.is_zero():
-            return "0"
-        if self.zpart.is_zero():
-            return self.base.text()
-        ztxt = f"({self.zpart.text()}) * z"
-        if self.base.is_zero():
-            return ztxt
-        return f"{self.base.text()} + {ztxt}"
-
-    def __repr__(self) -> str:
-        return f"FiberClass({self.text()})"
+def _relabel(ring: RingSpec, old: str, new: tuple[str, int]) -> RingSpec:
+    """``ring`` with generator ``old`` replaced by ``new`` in the same slot."""
+    if old not in ring.names:
+        raise ValueError(f"no generator {old!r} in {ring!r}")
+    gens = [new if name == old else (name, d) for name, d in zip(ring.names, ring.degrees)]
+    return RingSpec(gens, ring.truncation)
 
 
-def push_pi(c: FiberClass) -> GradedPoly:
+@cache
+def fiber_ring(base: RingSpec) -> RingSpec:
+    """A*(P) = A*(B)[z] / (z^2 + c2): ``base`` with z of weight 1 for c2."""
+    return _relabel(base, "c2", ("z", 1))
+
+
+@cache
+def _base_ring(fiber: RingSpec) -> RingSpec:
+    return _relabel(fiber, "z", ("c2", 2))
+
+
+def split(x: GradedPoly) -> tuple[GradedPoly, GradedPoly]:
+    """(P, Q) in the base ring with x = P + Q z.
+
+    A monomial z^j m is (-c2)^(j//2) m times z^(j%2), so it goes to P when j
+    is even and to Q when j is odd; distinct monomials stay distinct.
+    """
+    base = _base_ring(x.ring)
+    slot = base.names.index("c2")
+    halves: tuple[dict, dict] = ({}, {})
+    for e, c in x.terms.items():
+        half, odd = divmod(e[slot], 2)
+        halves[odd][e[:slot] + (half,) + e[slot + 1 :]] = -c if half % 2 else c
+    return GradedPoly(base, halves[0]), GradedPoly(base, halves[1])
+
+
+def fiber_text(x: GradedPoly) -> str:
+    """``P + (Q) * z``, leaving out a zero part."""
+    p, q = split(x)
+    if q.is_zero():
+        return p.text()
+    ztxt = f"({q.text()}) * z"
+    return ztxt if p.is_zero() else f"{p.text()} + {ztxt}"
+
+
+def push_pi(x: GradedPoly) -> GradedPoly:
     """pi_*(P + Q z) = Q; drops degree by one."""
-    return c.zpart
+    return split(x)[1]
 
 
-def fiber_exp(c: FiberClass) -> FiberClass:
+def fiber_exp(c: GradedPoly) -> GradedPoly:
     """exp of a class with no degree-0 part, truncated by the ring."""
     if not c.degree_part(0).is_zero():
         raise ValueError("exp requires vanishing degree-0 part")
-    result = FiberClass.const(c.ring, 1)
-    power = FiberClass.const(c.ring, 1)
+    result = power = c.ring.one()
     for n in range(1, c.ring.truncation + 1):
         power = power * c
         if power.is_zero():
@@ -147,49 +102,32 @@ def fiber_exp(c: FiberClass) -> FiberClass:
 
 
 class BundleChar:
-    """Chern character of a bundle on P: one element ``total`` of A*(P).
+    """Chern character of a bundle on P: one fiber-ring element ``total``.
 
     ``total`` is rank + ch_1 + ch_2 + ..., so the ring's truncated product
-    and sum are the tensor product and direct sum of bundles.  ``parts[d]``
-    is the homogeneous degree-d part ch_d for d < D (truncation order D),
-    split off in one pass; z-terms of total degree D, which ``FiberClass``
-    still carries, are dropped there, and equality compares the parts.
-    ``rank`` is the constant ch_0 and ``pieces`` is ch_1, ..., ch_{D-1}.
+    and sum are the tensor product and direct sum of bundles, ``ch(d)`` is
+    its degree-d part and equality compares totals.  ``rank`` is the
+    constant ch_0 and ``pieces`` is ch_1, ..., ch_{D-1} (truncation D).
     """
 
-    __slots__ = ("ring", "total", "parts", "rank")
+    __slots__ = ("ring", "total", "rank")
 
-    def __init__(self, total: FiberClass):
-        ring = total.ring
-        top = ring.truncation
-        wdeg = ring.weighted_degree
-        base: list[dict] = [{} for _ in range(top)]
-        zpart: list[dict] = [{} for _ in range(top)]
-        for e, c in total.base.terms.items():
-            base[wdeg(e)][e] = c
-        for e, c in total.zpart.terms.items():
-            d = wdeg(e) + 1
-            if d < top:
-                zpart[d][e] = c
-        self.ring = ring
+    def __init__(self, total: GradedPoly):
+        self.ring = total.ring
         self.total = total
-        # Each bucket is a subset of a normalized term map, so it is one too.
-        self.parts = tuple(
-            FiberClass(_trusted(ring, b), _trusted(ring, z)) for b, z in zip(base, zpart)
-        )
-        self.rank = int(base[0].get((0,) * len(ring.names), 0))
+        self.rank = int(total.terms.get((0,) * len(total.ring.names), 0))
 
     @classmethod
     def trivial(cls, ring: RingSpec, rank: int) -> "BundleChar":
-        return cls(FiberClass.const(ring, rank))
+        return cls(ring.const(rank))
 
     @property
-    def pieces(self) -> tuple[FiberClass, ...]:
-        return self.parts[1:]
+    def pieces(self) -> tuple[GradedPoly, ...]:
+        return tuple(self.ch(d) for d in range(1, self.ring.truncation))
 
-    def ch(self, degree: int) -> FiberClass:
+    def ch(self, degree: int) -> GradedPoly:
         """The degree-d character piece (d = 0 gives the rank)."""
-        return self.parts[degree]
+        return self.total.degree_part(degree)
 
     def __add__(self, other: "BundleChar") -> "BundleChar":
         return BundleChar(self.total + other.total)
@@ -197,46 +135,42 @@ class BundleChar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BundleChar):
             return NotImplemented
-        return self.parts == other.parts
+        return self.total == other.total
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"BundleChar(rank={self.rank}, ch1={self.pieces[0].text() if self.pieces else '-'})"
+        return f"BundleChar({fiber_text(self.total)})"
 
 
-def line_bundle(c1: FiberClass) -> BundleChar:
+def line_bundle(c1: GradedPoly) -> BundleChar:
     """Line bundle with the given first Chern class: ch = exp(c1)."""
     return BundleChar(fiber_exp(c1))
 
 
 def o_z(ring: RingSpec, n: int) -> BundleChar:
-    """The relative line bundle O(n z) on P."""
-    return line_bundle(FiberClass.z(ring) * n)
+    """The relative line bundle O(n z) on P, ``ring`` being a fiber ring."""
+    return line_bundle(ring.gen("z") * n)
 
 
-def chern_from_parts(
-    ring: RingSpec, parts: Sequence[tuple[GradedPoly, GradedPoly]], rank: int
-) -> BundleChar:
-    """Build a character from Chern-class data c_i = a_i + a_i' z.
+def chern_from_parts(ring: RingSpec, parts: Sequence[GradedPoly], rank: int) -> BundleChar:
+    """Build a character in the fiber ring ``ring`` from its Chern classes.
 
-    ``parts[i-1]`` is the pair (a_i, a_i'); a_i must be homogeneous of
-    degree i and a_i' of degree i-1.  Newton's identities
+    ``parts[i-1]`` is c_i, homogeneous of degree i.  Newton's identities
     p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k give the power
     sums, and ch = rank + sum_k p_k / k!.
     """
     if len(parts) > rank:
         raise ValueError(f"got {len(parts)} Chern classes for rank {rank}")
-    cs = [FiberClass.const(ring, 1)]
-    for i, (a, ap) in enumerate(parts, start=1):
-        c = FiberClass(a, ap)
+    cs = [ring.one()]
+    for i, c in enumerate(parts, start=1):
         if not c.is_homogeneous(i):
             raise ValueError(f"c_{i} data is not homogeneous of degree {i}")
         cs.append(c)
-    p = [FiberClass.const(ring, rank)]
+    p = [ring.const(rank)]
     total = p[0]
     for k in range(1, ring.truncation):
-        acc = cs[k] * ((-1) ** (k - 1) * k) if k < len(cs) else FiberClass.zero(ring)
+        acc = cs[k] * ((-1) ** (k - 1) * k) if k < len(cs) else ring.zero()
         for i in range(1, min(k, len(cs))):
             term = cs[i] * p[k - i]
             acc = acc + term if i % 2 == 1 else acc - term
@@ -247,10 +181,8 @@ def chern_from_parts(
 
 def _psi(b: BundleChar, k: int) -> BundleChar:
     """psi^k for any nonzero integer k: the degree-d part times k^d."""
-    total = FiberClass.zero(b.ring)
-    for d, part in enumerate(b.parts):
-        total = total + part * k**d
-    return BundleChar(total)
+    wdeg = b.ring.weighted_degree
+    return BundleChar(GradedPoly(b.ring, {e: c * k ** wdeg(e) for e, c in b.total.terms.items()}))
 
 
 def dual(b: BundleChar) -> BundleChar:
@@ -291,7 +223,7 @@ def wedge2(b: BundleChar) -> BundleChar:
 class ZetaRing:
     """Classes of zeta-degree below r on P(E^v) -> P, r being the rank of E.
 
-    Built from the character of E, which gives the base ring and the rank;
+    Built from the character of E, which gives the ring of P and the rank;
     the ring must hold the degree-r relation, so its truncation exceeds r.
     """
 
@@ -314,9 +246,7 @@ class ZetaRing:
 
     def zeta_power(self, n: int) -> "ZetaClass":
         """zeta^n for 0 <= n < r."""
-        raw = [FiberClass.zero(self.ring)] * (n + 1)
-        raw[n] = FiberClass.const(self.ring, 1)
-        return ZetaClass(self, raw)
+        return ZetaClass(self, [self.ring.zero()] * n + [self.ring.one()])
 
 
 class ZetaClass:
@@ -325,17 +255,17 @@ class ZetaClass:
 
     __slots__ = ("zring", "coeffs")
 
-    def __init__(self, zring: ZetaRing, coeffs: Sequence[FiberClass]):
+    def __init__(self, zring: ZetaRing, coeffs: Sequence[GradedPoly]):
         r = zring.rank
         if len(coeffs) > r:
             raise ValueError(f"zeta-degree {len(coeffs) - 1} needs the rank-{r} relation")
         self.zring = zring
-        self.coeffs = tuple(coeffs) + (FiberClass.zero(zring.ring),) * (r - len(coeffs))
+        self.coeffs = tuple(coeffs) + (zring.ring.zero(),) * (r - len(coeffs))
 
     def __add__(self, other: "ZetaClass") -> "ZetaClass":
         return ZetaClass(self.zring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __mul__(self, other: Union[FiberClass, Scalar]) -> "ZetaClass":
+    def __mul__(self, other: Union[GradedPoly, Scalar]) -> "ZetaClass":
         return ZetaClass(self.zring, [a * other for a in self.coeffs])
 
     __rmul__ = __mul__
@@ -354,7 +284,7 @@ class ZetaClass:
             if c.is_zero():
                 continue
             head = f"zeta^{j}" if j > 1 else ("zeta" if j == 1 else "")
-            body = c.text()
+            body = fiber_text(c)
             parts.append(f"({body}) * {head}" if head else body)
         return " + ".join(parts) if parts else "0"
 
@@ -362,7 +292,7 @@ class ZetaClass:
         return f"ZetaClass({self.text()})"
 
 
-def push_gamma(c: ZetaClass) -> FiberClass:
+def push_gamma(c: ZetaClass) -> GradedPoly:
     """gamma_*: the zeta^{r-1} coefficient, as gamma_* zeta^j = 0 for j < r-1."""
     return c.coeffs[-1]
 

@@ -66,6 +66,7 @@ def _cmd_kappa(args: argparse.Namespace) -> Report:
 
 def _cmd_curve_class(args: argparse.Namespace) -> Report:
     from . import hurwitz
+    from .bundles import fiber_text
 
     genus = _genus(args)
     truncation = args.k + 2 if args.truncation is None else args.truncation
@@ -75,7 +76,7 @@ def _cmd_curve_class(args: argparse.Namespace) -> Report:
         "genus": "symbolic" if genus is None else genus,
         "truncation": truncation,
     }
-    coeffs = {f"zeta^{j}": c.text() for j, c in enumerate(c_class.coeffs)}
+    coeffs = {f"zeta^{j}": fiber_text(c) for j, c in enumerate(c_class.coeffs)}
     lines = [f"[C] for degree {args.k} covers:"]
     lines += [f"  {name}: {text}" for name, text in reversed(coeffs.items())]
     return inputs, {"coefficients": coeffs}, lines

@@ -162,13 +162,14 @@ class GradedPoly:
         ring = self.ring
         bound = ring.truncation
         wdeg = ring.weighted_degree
-        right = [(wdeg(e), e, c) for e, c in other.terms.items()]
+        # sorted by degree, so each row stops at the first pair it would drop
+        right = sorted((wdeg(e), e, c) for e, c in other.terms.items())
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             room = bound - wdeg(e1)
             for d2, e2, c2 in right:
                 if d2 >= room:
-                    continue
+                    break
                 key = tuple(a + b for a, b in zip(e1, e2))
                 c = out.get(key)
                 out[key] = c1 * c2 if c is None else c + c1 * c2
@@ -200,9 +201,8 @@ class GradedPoly:
                 f"degree {degree} outside [0, {self.ring.truncation})"
             )
         wdeg = self.ring.weighted_degree
-        return GradedPoly(
-            self.ring, {e: c for e, c in self.terms.items() if wdeg(e) == degree}
-        )
+        # a subset of a normalized term map is normalized
+        return _trusted(self.ring, {e: c for e, c in self.terms.items() if wdeg(e) == degree})
 
     def retruncate(self, ring: RingSpec) -> "GradedPoly":
         """Reinterpret in another ring with the same generators (other D)."""

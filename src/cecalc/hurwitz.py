@@ -35,12 +35,12 @@ from typing import NamedTuple, Optional, Union
 
 from .bundles import (
     BundleChar,
-    FiberClass,
     ZetaClass,
     ZetaRing,
     chern_from_parts,
     det,
     dual,
+    fiber_ring,
     push_pi,
     tensor,
     zeta_twisted_ch,
@@ -99,14 +99,15 @@ def presentation(k: int, genus: int) -> tuple[tuple[tuple[str, int], ...], int]:
 
 
 class CESetup(NamedTuple):
-    """A covering degree, its class ring, and the Chern data of E and F,
-    from which their characters are built on demand."""
+    """A covering degree, its class ring, and the Chern classes of E and F
+    in the fiber ring over it, from which their characters are built on
+    demand."""
 
     degree: int
     genus: Optional[int]  # None means symbolic
     ring: RingSpec
-    e_chern: tuple[tuple[GradedPoly, GradedPoly], ...]  # (a_i, a_i') of c_i(E)
-    f_chern: tuple[tuple[GradedPoly, GradedPoly], ...]  # likewise for F
+    e_chern: tuple[GradedPoly, ...]  # c_i(E) = a_i + a_i' z
+    f_chern: tuple[GradedPoly, ...]  # c_i(F) = b_i + b_i' z
 
     @property
     def symbolic(self) -> bool:
@@ -114,12 +115,12 @@ class CESetup(NamedTuple):
 
     @property
     def e_char(self) -> BundleChar:
-        return chern_from_parts(self.ring, self.e_chern, len(self.e_chern))
+        return chern_from_parts(fiber_ring(self.ring), self.e_chern, len(self.e_chern))
 
     @property
     def f_char(self) -> BundleChar:
         """The character of F; it equals det(E) when degree == 3."""
-        return chern_from_parts(self.ring, self.f_chern, len(self.f_chern))
+        return chern_from_parts(fiber_ring(self.ring), self.f_chern, len(self.f_chern))
 
 
 def ce_setup(k: int, genus: Optional[int] = None, truncation: int = 8) -> CESetup:
@@ -133,18 +134,15 @@ def ce_setup(k: int, genus: Optional[int] = None, truncation: int = 8) -> CESetu
         raise ValueError(f"unsupported covering degree {k}")
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
-    if genus is None:
-        ring = RingSpec(_generators(k) + (("g", 0),), truncation)
-        a1p = ring.gen("g") + ring.const(k - 1)
-    else:
-        ring = RingSpec(_generators(k), truncation)
-        a1p = ring.const(genus + k - 1)
-
+    ring = RingSpec(_generators(k) + ((("g", 0),) if genus is None else ()), truncation)
+    fiber = fiber_ring(ring)
+    z = fiber.gen("z")
+    a1p = fiber.gen("g") + fiber.const(k - 1) if genus is None else fiber.const(genus + k - 1)
     chern = []
     for letter, rank, m in _bundles(k):
-        parts = [(ring.gen("a1") * m, a1p * m)]
-        parts += [(ring.gen(f"{letter}{i}"), ring.gen(f"{letter}{i}'")) for i in range(2, rank + 1)]
-        chern.append(tuple(parts))
+        cs = [(fiber.gen("a1") + a1p * z) * m]
+        cs += [fiber.gen(f"{letter}{i}") + fiber.gen(f"{letter}{i}'") * z for i in range(2, rank + 1)]
+        chern.append(tuple(cs))
     e_chern, f_chern = chern
     return CESetup(degree=k, genus=genus, ring=ring, e_chern=e_chern, f_chern=f_chern)
 
@@ -210,27 +208,24 @@ def kappa(setup: CESetup, i: int) -> KappaResult:
             f"at degree {k} (needs > {needed})"
         )
     r = k - 1
-    chern = [FiberClass(a, ap) for a, ap in setup.e_chern]
-    segre = [FiberClass.const(ring, 1)]
+    fiber = fiber_ring(ring)
+    segre = [fiber.one()]
     for n in range(1, i + 2):
-        acc = FiberClass.zero(ring)
+        acc = fiber.zero()
         for j in range(1, min(n, r) + 1):
-            term = chern[j - 1] * segre[n - j]
+            term = setup.e_chern[j - 1] * segre[n - j]
             acc = acc + term if j % 2 == 1 else acc - term
         segre.append(acc)
-    c_class = [
-        FiberClass(c.base.retruncate(ring), c.zpart.retruncate(ring))
-        for c in curve_class_value(k, setup.genus, k).coeffs
-    ]
-    minus_2z = FiberClass.z(ring) * -2
-    powers = [FiberClass.const(ring, 1)]
+    c_class = [c.retruncate(fiber) for c in curve_class_value(k, setup.genus, k).coeffs]
+    minus_2z = fiber.gen("z") * -2
+    powers = [fiber.one()]
     for _ in range(i + 1):
         powers.append(powers[-1] * minus_2z)
     # the zeta^b coefficients C(i+1, b) (-2z)^{i+1-b} of (zeta - 2z)^{i+1}
     omega = [powers[i + 1 - b] * comb(i + 1, b) for b in range(i + 2)]
-    total = FiberClass.zero(ring)
+    total = fiber.zero()
     for a, c in enumerate(c_class):
-        pushed = FiberClass.zero(ring)  # gamma_*(zeta^a (zeta - 2z)^{i+1})
+        pushed = fiber.zero()  # gamma_*(zeta^a (zeta - 2z)^{i+1})
         for b in range(r - 1 - a, i + 2):
             pushed = pushed + omega[b] * segre[a + b - r + 1]
         total = total + c * pushed

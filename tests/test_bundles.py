@@ -7,27 +7,32 @@ import pytest
 
 from cecalc.bundles import (
     BundleChar,
-    FiberClass,
     ZetaRing,
     adams,
     chern_from_parts,
     det,
     dual,
+    fiber_ring,
     o_z,
     push_gamma,
     push_pi,
+    split,
     sym2,
     tensor,
     wedge2,
     zeta_twisted_ch,
 )
-from cecalc.gring import RingSpec
+from cecalc.gring import GradedPoly, RingSpec
 from cecalc.splitting import SplittingType, sym2_type, tensor_type, wedge2_type
-from zeta_oracle import ZetaRelation, chern_of
+from zeta_oracle import ZetaRelation, chern_of, join
 
 
 def base_ring(truncation=6, extra=()):
     return RingSpec([("c2", 2)] + list(extra), truncation)
+
+
+def fiber(truncation=6, extra=()):
+    return fiber_ring(base_ring(truncation, extra))
 
 
 def split_char(ring, parts):
@@ -43,27 +48,50 @@ def split_char(ring, parts):
 
 def test_z_squared_is_minus_c2():
     ring = base_ring()
-    z = FiberClass.z(ring)
-    assert z * z == FiberClass(-ring.gen("c2"), ring.zero())
+    z = fiber_ring(ring).gen("z")
+    assert split(z * z) == (-ring.gen("c2"), ring.zero())
 
 
 def test_push_pi_reads_z_coefficient():
     ring = base_ring(extra=[("a1", 1)])
-    z = FiberClass.z(ring)
+    z = fiber_ring(ring).gen("z")
     a1 = ring.gen("a1")
     assert push_pi(z) == ring.one()
-    assert push_pi(FiberClass.const(ring, 1)).is_zero()
-    assert push_pi(FiberClass(a1, ring.zero()) * z + FiberClass(ring.gen("c2"), ring.zero())) == a1
+    assert push_pi(join(ring.one(), ring.zero())).is_zero()
+    assert push_pi(join(a1, ring.zero()) * z + join(ring.gen("c2"), ring.zero())) == a1
+    minus_c2 = -ring.gen("c2")
+    for m in range(ring.truncation):
+        assert push_pi(z ** (2 * m + 1)) == minus_c2**m
+        assert push_pi(z ** (2 * m)).is_zero()
+    with pytest.raises(ValueError, match="no generator 'z'"):
+        push_pi(a1)  # a base-ring class has no z to read
+
+
+def test_split_round_trips_random_classes():
+    rng = random.Random(11)
+    ring = base_ring(truncation=7, extra=[("a1", 1), ("b3", 3), ("g", 0)])
+
+    def random_class(below):
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            exps = tuple(rng.randint(0, 3) for _ in ring.names)
+            if ring.weighted_degree(exps) < below:
+                terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return GradedPoly(ring, terms)
+
+    for _ in range(200):
+        p, q = random_class(ring.truncation), random_class(ring.truncation - 1)
+        assert split(join(p, q)) == (p, q)
 
 
 # -- character <-> Chern class conversions -----------------------------------
 
 
 def test_line_bundle_character_is_exponential():
-    ring = base_ring(truncation=5)
+    ring = fiber(truncation=5)
     d = 3
     ch = o_z(ring, d)
-    z = FiberClass.z(ring)
+    z = ring.gen("z")
     assert ch.ch(1) == z * d
     assert ch.ch(2) == (z * d) * (z * d) * Fraction(1, 2)
     assert ch.ch(3) == (z * d) ** 3 * Fraction(1, 6)
@@ -72,17 +100,17 @@ def test_line_bundle_character_is_exponential():
 def test_rank2_ch2_is_newton_identity():
     ring = base_ring(truncation=5, extra=[("a1", 1), ("a2", 2), ("a1'", 0), ("a2'", 1)])
     parts = [
-        (ring.gen("a1"), ring.gen("a1'")),
-        (ring.gen("a2"), ring.gen("a2'")),
+        join(ring.gen("a1"), ring.gen("a1'")),
+        join(ring.gen("a2"), ring.gen("a2'")),
     ]
-    b = chern_from_parts(ring, parts, 2)
-    c1 = FiberClass(ring.gen("a1"), ring.gen("a1'"))
-    c2cls = FiberClass(ring.gen("a2"), ring.gen("a2'"))
+    b = chern_from_parts(fiber_ring(ring), parts, 2)
+    c1 = join(ring.gen("a1"), ring.gen("a1'"))
+    c2cls = join(ring.gen("a2"), ring.gen("a2'"))
     assert b.ch(2) == (c1 * c1 - c2cls * 2) * Fraction(1, 2)
 
 
 def test_zero_chern_data_gives_constant_character():
-    ring = base_ring()
+    ring = fiber()
     b = chern_from_parts(ring, [], 4)
     assert b.rank == 4
     assert all(p.is_zero() for p in b.pieces)
@@ -91,18 +119,18 @@ def test_zero_chern_data_gives_constant_character():
 
 def test_chern_from_parts_validates_degrees():
     ring = base_ring(extra=[("a1", 1)])
-    with pytest.raises(ValueError, match="homogeneous"):
-        chern_from_parts(ring, [(ring.gen("c2"), ring.zero())], 2)  # degree 2 data as c_1
+    with pytest.raises(ValueError, match="homogeneous"):  # degree 2 data as c_1
+        chern_from_parts(fiber_ring(ring), [join(ring.gen("c2"), ring.zero())], 2)
     with pytest.raises(ValueError, match="rank"):
-        chern_from_parts(ring, [(ring.gen("a1"), ring.zero())], 0)
+        chern_from_parts(fiber_ring(ring), [join(ring.gen("a1"), ring.zero())], 0)
 
 
 def test_chern_of_split_rank2():
     ring = base_ring()
-    b = split_char(ring, [1, -1])  # O(z) + O(-z)
+    b = split_char(fiber_ring(ring), [1, -1])  # O(z) + O(-z)
     c = chern_of(b)
     assert c[0].is_zero()
-    assert c[1] == FiberClass(ring.gen("c2"), ring.zero())  # -z^2 = c2
+    assert split(c[1]) == (ring.gen("c2"), ring.zero())  # -z^2 = c2
 
 
 def test_chern_character_round_trip_random_rank3():
@@ -116,10 +144,10 @@ def test_chern_character_round_trip_random_rank3():
             return ring.gen(names[d]) * rng.randint(-3, 3)
 
         parts = [(homog(i), homog(i - 1)) for i in (1, 2, 3)]
-        b = chern_from_parts(ring, parts, 3)
+        b = chern_from_parts(fiber_ring(ring), [join(a, ap) for a, ap in parts], 3)
         recovered = chern_of(b)
         for i, (a, ap) in enumerate(parts, start=1):
-            assert recovered[i - 1] == FiberClass(a, ap)
+            assert split(recovered[i - 1]) == (a, ap)
 
 
 # -- tensor algebra ----------------------------------------------------------
@@ -128,7 +156,7 @@ def test_chern_character_round_trip_random_rank3():
 def test_dual_is_an_involution_and_negates_odd_pieces():
     ring = base_ring(extra=[("a1", 1), ("a2", 2)])
     b = chern_from_parts(
-        ring, [(ring.gen("a1"), ring.const(4)), (ring.gen("a2"), ring.gen("a1"))], 3
+        fiber_ring(ring), [join(ring.gen("a1"), ring.const(4)), join(ring.gen("a2"), ring.gen("a1"))], 3
     )
     assert dual(dual(b)) == b
     assert dual(b).ch(1) == -b.ch(1)
@@ -137,21 +165,21 @@ def test_dual_is_an_involution_and_negates_odd_pieces():
 
 def test_tensor_with_trivial_line_is_identity():
     ring = base_ring(extra=[("a1", 1)])
-    b = chern_from_parts(ring, [(ring.gen("a1"), ring.const(2))], 2)
-    assert tensor(b, BundleChar.trivial(ring, 1)) == b
+    b = chern_from_parts(fiber_ring(ring), [join(ring.gen("a1"), ring.const(2))], 2)
+    assert tensor(b, BundleChar.trivial(fiber_ring(ring), 1)) == b
 
 
 def test_det_of_rank2_keeps_first_chern_class():
     ring = base_ring(extra=[("b1", 1), ("b1'", 0)])
-    c1 = FiberClass(ring.gen("b1"), ring.gen("b1'"))
-    b = chern_from_parts(ring, [(ring.gen("b1"), ring.gen("b1'"))], 2)
+    c1 = join(ring.gen("b1"), ring.gen("b1'"))
+    b = chern_from_parts(fiber_ring(ring), [join(ring.gen("b1"), ring.gen("b1'"))], 2)
     d = det(b)
     assert d.rank == 1
     assert d.ch(1) == c1
 
 
 def test_adams_on_line_bundles_and_composition():
-    ring = base_ring()
+    ring = fiber()
     assert adams(o_z(ring, 1), 2) == o_z(ring, 2)
     b = split_char(ring, [1, 2, -1])
     assert adams(adams(b, 2), 3) == adams(b, 6)
@@ -160,16 +188,16 @@ def test_adams_on_line_bundles_and_composition():
 def test_sym_wedge_ranks_and_sum_rule():
     ring = base_ring(extra=[("a1", 1), ("a2", 2)])
     b3 = chern_from_parts(
-        ring, [(ring.gen("a1"), ring.const(1)), (ring.gen("a2"), ring.gen("a1"))], 3
+        fiber_ring(ring), [join(ring.gen("a1"), ring.const(1)), join(ring.gen("a2"), ring.gen("a1"))], 3
     )
-    b5 = BundleChar.trivial(ring, 5)
+    b5 = BundleChar.trivial(fiber_ring(ring), 5)
     assert sym2(b3).rank == 6
     assert wedge2(b5).rank == 10
     assert sym2(b3) + wedge2(b3) == tensor(b3, b3)
 
 
 def test_split_bundle_operations_match_summand_enumeration():
-    ring = base_ring(truncation=6)
+    ring = fiber(truncation=6)
     e = SplittingType((2, 3, 4))
     b = split_char(ring, e.parts)
     assert sym2(b) == split_char(ring, sym2_type(e).parts)
@@ -191,11 +219,11 @@ def quartic_like_ring():
 
 def rank3_bundle(ring):
     parts = [
-        (ring.gen("a1"), ring.const(7)),
-        (ring.gen("a2"), ring.gen("a2'")),
-        (ring.gen("a3"), ring.gen("a3'")),
+        join(ring.gen("a1"), ring.const(7)),
+        join(ring.gen("a2"), ring.gen("a2'")),
+        join(ring.gen("a3"), ring.gen("a3'")),
     ]
-    return chern_from_parts(ring, parts, 3)
+    return chern_from_parts(fiber_ring(ring), parts, 3)
 
 
 def test_zeta_relation_annihilates():
@@ -212,41 +240,42 @@ def test_zeta_relation_annihilates():
 def test_push_gamma_basis_values():
     ring = quartic_like_ring()
     zr = ZetaRing(rank3_bundle(ring))
-    assert push_gamma(zr.zeta_power(zr.rank - 1)) == FiberClass.const(ring, 1)
+    assert split(push_gamma(zr.zeta_power(zr.rank - 1))) == (ring.one(), ring.zero())
     for i in range(zr.rank - 1):
         assert push_gamma(zr.zeta_power(i)).is_zero()
 
 
 def test_push_gamma_of_zeta_rank_for_rank2_dual():
     ring = base_ring(truncation=5, extra=[("a1", 1), ("a2", 2)])
-    parts = [(ring.gen("a1"), ring.const(3)), (ring.gen("a2"), ring.gen("a1"))]
-    e = chern_from_parts(ring, parts, 2)
+    parts = [join(ring.gen("a1"), ring.const(3)), join(ring.gen("a2"), ring.gen("a1"))]
+    e = chern_from_parts(fiber_ring(ring), parts, 2)
     rel = ZetaRelation(e)
     # one reduction step: gamma_*(zeta^2) = -c1(E^v) = c1(E)
     assert push_gamma(rel.zeta_power(2)) == chern_of(e)[0]
 
 
 def test_negative_powers_are_errors():
-    ring = quartic_like_ring()
-    rel = ZetaRelation(rank3_bundle(ring))
+    base = quartic_like_ring()
+    ring = fiber_ring(base)
+    rel = ZetaRelation(rank3_bundle(base))
     with pytest.raises(ValueError, match="negative"):
-        FiberClass.z(ring) ** -1
+        ring.gen("z") ** -1
     with pytest.raises(ValueError, match="negative"):
         rel.power(rel.zeta_power(1), -2)
-    assert FiberClass.z(ring) ** 0 == FiberClass.const(ring, 1)
-    assert rel.power(rel.zeta_power(1), 0) == rel.of_fiber(FiberClass.const(ring, 1))
+    assert ring.gen("z") ** 0 == ring.one()
+    assert rel.power(rel.zeta_power(1), 0) == rel.of_fiber(ring.one())
 
 
 def test_zeta_classes_stop_below_the_relation():
     zr = ZetaRing(rank3_bundle(quartic_like_ring()))
-    assert zr.zeta_power(2).coeffs[2] == FiberClass.const(zr.ring, 1)
+    assert zr.zeta_power(2).coeffs[2] == zr.ring.one()
     with pytest.raises(ValueError, match="zeta-degree 3 needs the rank-3 relation"):
         zr.zeta_power(3)
 
 
 def test_zeta_ring_requires_room_for_the_relation():
     ring = RingSpec([("c2", 2), ("a1", 1)], 3)
-    e = chern_from_parts(ring, [(ring.gen("a1"), ring.const(1))], 3)
+    e = chern_from_parts(fiber_ring(ring), [join(ring.gen("a1"), ring.const(1))], 3)
     with pytest.raises(ValueError, match="truncation"):
         ZetaRing(e)
 
@@ -255,6 +284,6 @@ def test_zeta_twisted_ch_of_line_bundle_is_binomial():
     ring = quartic_like_ring()
     e = rank3_bundle(ring)
     zr = ZetaRing(e)
-    triv = BundleChar.trivial(ring, 1)
+    triv = BundleChar.trivial(fiber_ring(ring), 1)
     got = zeta_twisted_ch(triv, 2, 2, zr)  # ch_2(O(2 zeta)) = 2 zeta^2
     assert got == zr.zeta_power(2) * 2

@@ -32,6 +32,8 @@ GOLDEN_CASES = [
     ("splitting_codim_k4.txt", ["splitting-codim", "-k", "4", "--e", "1,4,4", "--f", "2,7"]),
     ("bound_k5_g104.json", ["bound", "-k", "5", "-g", "104", "--case", "H_circ", "--json"]),
     ("curve_class_k4.txt", ["curve-class", "-k", "4", "--symbolic"]),
+    ("curve_class_k5_g9.txt", ["curve-class", "-k", "5", "--genus", "9"]),
+    ("curve_class_k5_g9.json", ["curve-class", "-k", "5", "--genus", "9", "--json"]),
     ("presentation_k4_g6.txt", ["presentation", "-k", "4", "-g", "6"]),
     ("ce_rank_k5_i2.txt", ["ce-rank", "-k", "5", "-i", "2"]),
 ]

@@ -1,6 +1,7 @@
 """Source-level guards: the library computes in exact arithmetic only, it
-and its tests import nothing they do not use, and the library defines
-nothing that nobody reads."""
+and its tests import nothing they do not use, the library defines nothing
+that nobody reads, and no library module reaches into another's private
+names."""
 
 import ast
 from collections import Counter
@@ -131,3 +132,52 @@ def test_the_guard_sees_dead_names():
     code = "def loop(): loop()\nclass Used: pass\ndef patched(): pass\nUsed()\nx = 'patched'\n"
     tree = ast.parse(code)
     assert list(dead_names(tree, [tree])) == [(1, "loop")]
+
+
+def private_imports(tree):
+    """(line, name) for each private (single-underscore) name the module
+    takes from another cecalc module: imported from it, or read as an
+    attribute of a cecalc module it imports."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "cecalc"
+        ):
+            for alias in node.names:
+                if private(alias.name):
+                    found.append((node.lineno, alias.name))
+                elif node.module in (None, "cecalc"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and private(node.attr)
+        ):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{line} {name}" for line, name in private_imports(tree)]
+    assert not found, f"private names taken from another module: {', '.join(found)}"
+
+
+def test_the_guard_sees_private_imports():
+    code = (
+        "from .gring import GradedPoly, _trusted\n"
+        "from cecalc.plmin import _extend as ext\n"
+        "from . import hurwitz, __version__\n"
+        "hurwitz._bundles(3)\n"
+        "hurwitz.kappa\n"
+        "from os import _exit\n"
+        "import random\n"
+        "random._inst\n"
+    )
+    assert private_imports(ast.parse(code)) == [(1, "_trusted"), (2, "_extend"), (4, "_bundles")]
