@@ -89,10 +89,12 @@ def _cmd_strata(args: argparse.Namespace) -> Report:
         raise ValueError("strata enumeration is implemented for k = 4 only")
     records = splitting.enumerate_strata4(args.genus, args.filter)
     inputs = {"k": 4, "genus": args.genus, "filter": args.filter}
+    # A table repeats each type in many rows, so render each type once.
+    text = {t: t.text() for t in {r.e for r in records} | {r.f for r in records}}
     rows = [
         {
-            "e": r.e.text(),
-            "f": r.f.text(),
+            "e": text[r.e],
+            "f": text[r.f],
             "codim": r.codim,
             "irreducible": r.flags.irreducible_ok,
             "non_factoring": r.flags.non_factoring_ok,
@@ -118,8 +120,13 @@ def _cmd_strata(args: argparse.Namespace) -> Report:
 def _cmd_splitting_codim(args: argparse.Namespace) -> Report:
     from . import splitting
 
-    e = splitting.SplittingType.parse(args.e)
-    f = splitting.SplittingType.parse(args.f)
+    def parse(flag: str, text: str) -> splitting.SplittingType:
+        try:
+            return splitting.SplittingType.parse(text)
+        except ValueError:
+            raise ValueError(f"{flag}: {text!r} is not a comma-separated list of integers") from None
+
+    e, f = parse("--e", args.e), parse("--f", args.f)
     inputs = {"k": args.k, "e": e.text(), "f": f.text()}
     if args.k == 4:
         codim = splitting.codim_hurwitz4(e, f)

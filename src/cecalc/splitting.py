@@ -19,11 +19,18 @@ callers that want the types themselves.  The constraint predicates record
 which splitting-type inequalities a smooth irreducible (or non-factoring)
 cover forces, and the degree-4 enumeration reproduces the full stratum
 table of a given genus.
+
+Each public function validates its pair once, with ``_pair``.  The
+degree-4 enumeration builds its types sorted and validates each pair once,
+in ``constraints_4`` (the benchmark tracer counts the pairs visited by its
+calls); it computes the codimension with ``_codim4``, which takes h1(End)
+of each type, summed once per type, and the summands of Sym^2 e.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 TypeLike = Sequence[int]
@@ -35,7 +42,7 @@ class SplittingType(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]):
-        return super().__new__(cls, sorted(int(e) for e in parts))
+        return super().__new__(cls, sorted(map(int, parts)))
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -100,17 +107,28 @@ def _quintic_u(e: SplittingType, f: SplittingType, genus: int) -> Iterator[int]:
 def _pair(e: TypeLike, f: TypeLike, ranks: tuple[int, int]) -> tuple:
     """(e, f) as SplittingTypes; ValueError unless their ranks are ``ranks``."""
     e, f = _coerce(e), _coerce(f)
-    if (e.rank, f.rank) != ranks:
-        raise ValueError(f"need ranks {ranks}, got ({e.rank}, {f.rank})")
+    if (len(e), len(f)) != ranks:
+        raise ValueError(f"need ranks {ranks}, got ({len(e)}, {len(f)})")
     return e, f
 
 
 # -- codimension formulas ----------------------------------------------------
 
 
+def _h1_end(t: Sequence[int]) -> int:
+    """h1(End t): the summands O(b - a) over every ordered pair of parts."""
+    return h1(b - a for a in t for b in t)
+
+
 def codim_simultaneous(e: TypeLike, f: TypeLike) -> int:
     """Codimension of the locus where a pair degenerates to (e, f)."""
-    return sum(h1(b - a for a in t for b in t) for t in (e, f))
+    return _h1_end(e) + _h1_end(f)
+
+
+def _codim4(sym2_e: Iterable[int], f: SplittingType, end_e: int, end_f: int) -> int:
+    """h1(End e) + h1(End f) - h1(Hom(f, Sym^2 e)), given the summand degrees
+    of Sym^2 e and the two h1(End)."""
+    return end_e + end_f - h1([s - fl for s in sym2_e for fl in f])
 
 
 def codim_hurwitz4(e: TypeLike, f: TypeLike) -> int:
@@ -120,18 +138,18 @@ def codim_hurwitz4(e: TypeLike, f: TypeLike) -> int:
     filtering by the cover constraints is the caller's job.
     """
     e, f = _pair(e, f, (3, 2))
-    return codim_simultaneous(e, f) - h1(s - fl for s in _sym2(e) for fl in f)
+    return _codim4(_sym2(e), f, _h1_end(e), _h1_end(f))
 
 
 def codim_hurwitz5(e: TypeLike, f: TypeLike, genus: int) -> int:
     """Codimension of the (e, f) stratum for degree-5 covers of genus g."""
     e, f = _pair(e, f, (4, 5))
-    if e.degree != genus + 4 or f.degree != 2 * genus + 8:
+    if sum(e) != genus + 4 or sum(f) != 2 * genus + 8:
         raise ValueError(
             f"need degrees ({genus + 4}, {2 * genus + 8}), "
-            f"got ({e.degree}, {f.degree})"
+            f"got ({sum(e)}, {sum(f)})"
         )
-    return codim_simultaneous(e, f) - h1(_quintic_u(e, f, genus))
+    return _h1_end(e) + _h1_end(f) - h1(_quintic_u(e, f, genus))
 
 
 def negative_summand_count5(e: TypeLike, f: TypeLike, genus: int) -> int:
@@ -186,17 +204,17 @@ class QuarticConstraints(NamedTuple):
 
 
 def constraints_4(e: TypeLike, f: TypeLike) -> QuarticConstraints:
-    e, f = _pair(e, f, (3, 2))
-    least = 2 * e[0] - f[1]  # the least summand of Hom(f, Sym^2 e)
-    return QuarticConstraints(
-        degrees_match=e.degree == f.degree,
-        e1_positive=e[0] >= 1,
-        pencil_bound_f1=2 * e[0] >= f[0],
-        pencil_bound_f2=2 * e[1] >= f[1],
-        second_quadric_varies=not (e[0] + e[2] < f[1] and 2 * e[2] <= f[1]),
-        non_factoring=e[0] + e[2] >= f[1],
-        in_h_prime=least >= -1,
-        in_h_circ=least >= 1,
+    (e1, e2, e3), (f1, f2) = _pair(e, f, (3, 2))
+    least = 2 * e1 - f2  # the least summand of Hom(f, Sym^2 e)
+    return QuarticConstraints(  # in field order
+        e1 + e2 + e3 == f1 + f2,
+        e1 >= 1,
+        2 * e1 >= f1,
+        2 * e2 >= f2,
+        not (e1 + e3 < f2 and 2 * e3 <= f2),
+        e1 + e3 >= f2,
+        least >= -1,
+        least >= 1,
     )
 
 
@@ -227,13 +245,13 @@ def constraints_5(e: TypeLike, f: TypeLike, genus: int) -> QuinticConstraints:
     e, f = _pair(e, f, (4, 5))
     target = genus + 4
     least = e[0] + f[0] + f[1] - target  # the least of the 40 summands
-    return QuinticConstraints(
-        degrees_match=e.degree == target and f.degree == 2 * target,
-        pfaffian_lower=f[0] + f[2] + e[3] >= target,
-        pfaffian_imp2=f[0] + f[3] + e[2] >= target,
-        pfaffian_imp3=f[1] + f[2] + e[2] >= target,
-        in_h_prime=least >= -1,
-        in_h_circ=least >= 1 and f[0] >= 0,
+    return QuinticConstraints(  # in field order
+        sum(e) == target and sum(f) == 2 * target,
+        f[0] + f[2] + e[3] >= target,
+        f[0] + f[3] + e[2] >= target,
+        f[1] + f[2] + e[2] >= target,
+        least >= -1,
+        least >= 1 and f[0] >= 0,
     )
 
 
@@ -249,7 +267,8 @@ class StratumRecord(NamedTuple):
 
 _FILTERS = ("all", "irreducible", "non_factoring")
 
-# Most (e, f) candidates enumerate_strata4 visits; genus 618 is the largest that fits.
+# Most (e, f) candidates a table may have, whatever its filter; genus 618 is
+# the largest that fits.
 MAX_STRATA_CANDIDATES = 10**7
 
 
@@ -262,7 +281,8 @@ def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRe
     ``non_factoring`` additionally requires e_1 + e_3 >= f_2; ``all`` keeps
     everything.  Rows are sorted by (codim, e, f).  Raises ValueError,
     before enumerating, when the search space holds more than
-    ``MAX_STRATA_CANDIDATES`` pairs.
+    ``MAX_STRATA_CANDIDATES`` pairs.  The two filters visit only the f
+    within the pencil bounds of each e; the limit still counts every pair.
     """
     if genus < 2:
         raise ValueError(f"genus must be >= 2, got {genus}")
@@ -277,18 +297,24 @@ def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRe
             f"more than the limit of {MAX_STRATA_CANDIDATES}"
         )
     fs = [SplittingType((f1, d - f1)) for f1 in range(1, d // 2 + 1)]
+    end_fs = [_h1_end(f) for f in fs]
     records = []
     for e1 in range(1, d // 3 + 1):
         for e2 in range(e1, (d - e1) // 2 + 1):
             e = SplittingType((e1, e2, d - e1 - e2))
-            for f in fs:
+            sym2_e, end_e = tuple(_sym2(e)), _h1_end(e)
+            if filter == "all":
+                first, last = 1, d // 2
+            else:
+                # irreducible_ok needs the pencil bounds f_1 <= 2 e_1 and
+                # f_2 = d - f_1 <= 2 e_2, and non_factoring_ok needs irreducible_ok
+                first, last = max(1, d - 2 * e2), min(d // 2, 2 * e1)
+            for f, end_f in zip(fs[first - 1 : last], end_fs[first - 1 : last]):
                 flags = constraints_4(e, f)
                 if filter == "irreducible" and not flags.irreducible_ok:
                     continue
                 if filter == "non_factoring" and not flags.non_factoring_ok:
                     continue
-                records.append(
-                    StratumRecord(e=e, f=f, codim=codim_hurwitz4(e, f), flags=flags)
-                )
-    records.sort(key=lambda r: (r.codim, r.e, r.f))
+                records.append(StratumRecord(e, f, _codim4(sym2_e, f, end_e, end_f), flags))
+    records.sort(key=itemgetter(2, 0, 1))  # by (codim, e, f)
     return records

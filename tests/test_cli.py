@@ -306,6 +306,36 @@ def test_oversized_strata_table_exits_2_fast(capsys):
     assert "genus 100000 has 41670000083334 candidate strata, more than the limit" in err
 
 
+@pytest.mark.parametrize("filter", ["all", "irreducible", "non_factoring"])
+def test_strata_limit_counts_every_candidate_whatever_the_filter(capsys, filter):
+    # the filtered views visit fewer pairs, but the limit counts them all
+    start = time.perf_counter()
+    assert main(["strata", "-k", "4", "-g", "619", "--filter", filter]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "genus 619 has 10026640 candidate strata, more than the limit" in captured.err
+
+
+def test_splitting_codim_k4_prints_the_raw_formula_for_unequal_degrees(capsys):
+    # deg f = 72 is not deg e = 9: -k 4 does not check degrees (see the README)
+    code, out = run_cli(capsys, ["splitting-codim", "-k", "4", "--e", "1,4,4", "--f", "2,70"])
+    assert (code, out) == (0, "codim = -307\n")
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--e", "1,,4"), ("--e", "1.5,4,4"), ("--e", ""), ("--f", "2,x")],
+)
+def test_malformed_splitting_type_names_the_flag_and_the_input(capsys, flag, value):
+    args = {"--e": "1,4,4", "--f": "2,7", flag: value}
+    argv = ["splitting-codim", "-k", "4", f"--e={args['--e']}", f"--f={args['--f']}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: {value!r} is not a comma-separated list of integers\n"
+
+
 def test_minimize_json_reports_solver_counts(capsys):
     code, raw = run_cli(capsys, ["minimize", "--preset", "lemma_coh4", "--json"])
     assert code == 0

@@ -346,6 +346,23 @@ def test_enumeration_matches_a_brute_force_recount(filter):
         assert got == _brute_strata4(g, filter), f"genus {g}"
 
 
+@pytest.mark.parametrize("genus", [*range(41, 91, 7), 120])
+def test_filtered_tables_are_the_full_table_filtered(genus):
+    # the filtered views visit only the pencil range 2 e_1 >= f_1, 2 e_2 >= f_2
+    full = enumerate_strata4(genus, "all")
+    for filter, keep in (
+        ("irreducible", lambda flags: flags.irreducible_ok),
+        ("non_factoring", lambda flags: flags.non_factoring_ok),
+    ):
+        table = enumerate_strata4(genus, filter)
+        assert table == [r for r in full if keep(r.flags)], (genus, filter)
+        # rows on either edge of the range are kept whenever they pass
+        for edge in (lambda r: r.f[0] == 2 * r.e[0], lambda r: r.f[1] == 2 * r.e[1]):
+            passing = [r for r in full if edge(r) and keep(r.flags)]
+            assert passing, (genus, filter)
+            assert [r for r in table if edge(r)] == passing, (genus, filter)
+
+
 def test_enumerate_refuses_an_oversized_search_before_enumerating():
     # genus 619: 32 240 e types times 311 f types, the first genus over the limit
     with pytest.raises(ValueError, match=f"10026640 candidate strata, .* {MAX_STRATA_CANDIDATES}"):
