@@ -107,7 +107,7 @@ class BundleChar:
     ``total`` is rank + ch_1 + ch_2 + ..., so the ring's truncated product
     and sum are the tensor product and direct sum of bundles, ``ch(d)`` is
     its degree-d part and equality compares totals.  ``rank`` is the
-    constant ch_0 and ``pieces`` is ch_1, ..., ch_{D-1} (truncation D).
+    constant ch_0.
     """
 
     __slots__ = ("ring", "total", "rank")
@@ -120,10 +120,6 @@ class BundleChar:
     @classmethod
     def trivial(cls, ring: RingSpec, rank: int) -> "BundleChar":
         return cls(ring.const(rank))
-
-    @property
-    def pieces(self) -> tuple[GradedPoly, ...]:
-        return tuple(self.ch(d) for d in range(1, self.ring.truncation))
 
     def ch(self, degree: int) -> GradedPoly:
         """The degree-d character piece (d = 0 gives the rank)."""
@@ -276,20 +272,6 @@ class ZetaClass:
         return self.coeffs == other.coeffs
 
     __hash__ = None
-
-    def text(self) -> str:
-        parts = []
-        for j in range(self.zring.rank - 1, -1, -1):
-            c = self.coeffs[j]
-            if c.is_zero():
-                continue
-            head = f"zeta^{j}" if j > 1 else ("zeta" if j == 1 else "")
-            body = fiber_text(c)
-            parts.append(f"({body}) * {head}" if head else body)
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"ZetaClass({self.text()})"
 
 
 def push_gamma(c: ZetaClass) -> GradedPoly:

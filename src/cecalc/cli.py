@@ -91,30 +91,32 @@ def _cmd_strata(args: argparse.Namespace) -> Report:
     inputs = {"k": 4, "genus": args.genus, "filter": args.filter}
     # A table repeats each type in many rows, so render each type once.
     text = {t: t.text() for t in {r.e for r in records} | {r.f for r in records}}
-    rows = [
-        {
-            "e": text[r.e],
-            "f": text[r.f],
-            "codim": r.codim,
-            "irreducible": r.flags.irreducible_ok,
-            "non_factoring": r.flags.non_factoring_ok,
-            "in_H_prime": r.flags.in_h_prime,
-            "in_H_circ": r.flags.in_h_circ,
-        }
-        for r in records
-    ]
     lines = [
         f"degree-4 strata at genus {args.genus} (filter: {args.filter})",
         "e | f | codim | irreducible | non_factoring | H_prime | H_circ",
     ]
-    if not args.json:
-        yes = {True: "yes", False: "no"}
-        lines += [
-            f"{row['e']} | {row['f']} | {row['codim']} | {yes[row['irreducible']]} | "
-            f"{yes[row['non_factoring']]} | {yes[row['in_H_prime']]} | {yes[row['in_H_circ']]}"
-            for row in rows
+    if args.json:
+        rows = [
+            {
+                "e": text[r.e],
+                "f": text[r.f],
+                "codim": r.codim,
+                "irreducible": r.flags.irreducible_ok,
+                "non_factoring": r.flags.non_factoring_ok,
+                "in_H_prime": r.flags.in_h_prime,
+                "in_H_circ": r.flags.in_h_circ,
+            }
+            for r in records
         ]
-    return inputs, {"strata": rows}, lines
+        return inputs, {"strata": rows}, lines
+    # main prints only the lines of a text report, so it gets no rows.
+    yes = {True: "yes", False: "no"}
+    lines += [
+        f"{text[r.e]} | {text[r.f]} | {r.codim} | {yes[r.flags.irreducible_ok]} | "
+        f"{yes[r.flags.non_factoring_ok]} | {yes[r.flags.in_h_prime]} | {yes[r.flags.in_h_circ]}"
+        for r in records
+    ]
+    return inputs, {}, lines
 
 
 def _cmd_splitting_codim(args: argparse.Namespace) -> Report:

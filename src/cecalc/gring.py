@@ -22,7 +22,7 @@ sees.  Negative weights are rejected.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
@@ -84,9 +84,6 @@ class RingSpec:
         exps[self._index[name]] = 1
         return GradedPoly(self, {tuple(exps): Fraction(1)})
 
-    def monomial(self, exponents: Iterable[int], coeff: Scalar = 1) -> "GradedPoly":
-        return GradedPoly(self, {tuple(exponents): Fraction(coeff)})
-
     def weighted_degree(self, exponents: Exponents) -> int:
         return sum(e * d for e, d in zip(exponents, self.degrees))
 
@@ -122,11 +119,6 @@ class GradedPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def max_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(self.ring.weighted_degree(e) for e in self.terms)
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(self.ring.weighted_degree(e) == degree for e in self.terms)
@@ -176,14 +168,6 @@ class GradedPoly:
         return _trusted(ring, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "GradedPoly":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.ring.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoly):

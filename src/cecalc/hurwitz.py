@@ -110,10 +110,6 @@ class CESetup(NamedTuple):
     f_chern: tuple[GradedPoly, ...]  # c_i(F) = b_i + b_i' z
 
     @property
-    def symbolic(self) -> bool:
-        return self.genus is None
-
-    @property
     def e_char(self) -> BundleChar:
         return chern_from_parts(fiber_ring(self.ring), self.e_chern, len(self.e_chern))
 

@@ -698,26 +698,6 @@ def bound(k: int, genus: int, case: str) -> Fraction:
 # -- JSON problem format -------------------------------------------------------
 
 
-def program_to_json(p: PLProgram) -> dict:
-    return {
-        "vars": p.num_vars,
-        "eq": [[str(v) for v in a] + [str(b)] for a, b in p.equalities],
-        "le": [[str(v) for v in a] + [str(b)] for a, b in p.inequalities],
-        "obj": {
-            "lin": [str(v) for v in p.objective_linear],
-            "const": str(p.objective_const),
-            "hinges": [
-                {
-                    "sign": h.sign,
-                    "coeffs": [str(v) for v in h.coeffs],
-                    "rhs": str(h.rhs),
-                }
-                for h in p.hinges
-            ],
-        },
-    }
-
-
 _SCALAR = (Real, str)  # JSON numbers and "p/q" strings
 
 

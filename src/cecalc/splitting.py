@@ -8,7 +8,6 @@ bundle is a linear form in the parts, so its h^1 is a short integer sum
 over those forms.  The codimension of the locus where a family degenerates
 to given splitting types is an explicit alternating h^1 count:
 
-  * simultaneous splitting locus of a pair:  h1(End e) + h1(End f)
   * degree-4 covers:   h1(End e) + h1(End f) - h1(Hom(f, Sym^2 e))
   * degree-5 covers:   h1(End e) + h1(End f) - h1(e . wedge^2 f . O(-g-4))
 
@@ -47,14 +46,6 @@ class SplittingType(tuple):
     @property
     def parts(self) -> tuple[int, ...]:
         return tuple(self)
-
-    @property
-    def rank(self) -> int:
-        return len(self)
-
-    @property
-    def degree(self) -> int:
-        return sum(self)
 
     def text(self) -> str:
         return ",".join(map(str, self))
@@ -118,11 +109,6 @@ def _pair(e: TypeLike, f: TypeLike, ranks: tuple[int, int]) -> tuple:
 def _h1_end(t: Sequence[int]) -> int:
     """h1(End t): the summands O(b - a) over every ordered pair of parts."""
     return h1(b - a for a in t for b in t)
-
-
-def codim_simultaneous(e: TypeLike, f: TypeLike) -> int:
-    """Codimension of the locus where a pair degenerates to (e, f)."""
-    return _h1_end(e) + _h1_end(f)
 
 
 def _codim4(sym2_e: Iterable[int], f: SplittingType, end_e: int, end_f: int) -> int:

@@ -56,3 +56,24 @@ def make_random_program(rng):
 @pytest.fixture(scope="session")
 def random_program_factory():
     return make_random_program
+
+
+def program_to_json(p: plmin.PLProgram) -> dict:
+    """The spec-file document of a program, numbers as "p/q" strings."""
+    return {
+        "vars": p.num_vars,
+        "eq": [[str(v) for v in a] + [str(b)] for a, b in p.equalities],
+        "le": [[str(v) for v in a] + [str(b)] for a, b in p.inequalities],
+        "obj": {
+            "lin": [str(v) for v in p.objective_linear],
+            "const": str(p.objective_const),
+            "hinges": [
+                {
+                    "sign": h.sign,
+                    "coeffs": [str(v) for v in h.coeffs],
+                    "rhs": str(h.rhs),
+                }
+                for h in p.hinges
+            ],
+        },
+    }

@@ -24,7 +24,7 @@ from cecalc.bundles import (
 )
 from cecalc.gring import GradedPoly, RingSpec
 from cecalc.splitting import SplittingType, sym2_type, tensor_type, wedge2_type
-from zeta_oracle import ZetaRelation, chern_of, join
+from zeta_oracle import ZetaRelation, chern_of, join, power
 
 
 def base_ring(truncation=6, extra=()):
@@ -61,8 +61,8 @@ def test_push_pi_reads_z_coefficient():
     assert push_pi(join(a1, ring.zero()) * z + join(ring.gen("c2"), ring.zero())) == a1
     minus_c2 = -ring.gen("c2")
     for m in range(ring.truncation):
-        assert push_pi(z ** (2 * m + 1)) == minus_c2**m
-        assert push_pi(z ** (2 * m)).is_zero()
+        assert push_pi(power(z, 2 * m + 1)) == power(minus_c2, m)
+        assert push_pi(power(z, 2 * m)).is_zero()
     with pytest.raises(ValueError, match="no generator 'z'"):
         push_pi(a1)  # a base-ring class has no z to read
 
@@ -94,7 +94,7 @@ def test_line_bundle_character_is_exponential():
     z = ring.gen("z")
     assert ch.ch(1) == z * d
     assert ch.ch(2) == (z * d) * (z * d) * Fraction(1, 2)
-    assert ch.ch(3) == (z * d) ** 3 * Fraction(1, 6)
+    assert ch.ch(3) == power(z * d, 3) * Fraction(1, 6)
 
 
 def test_rank2_ch2_is_newton_identity():
@@ -113,7 +113,7 @@ def test_zero_chern_data_gives_constant_character():
     ring = fiber()
     b = chern_from_parts(ring, [], 4)
     assert b.rank == 4
-    assert all(p.is_zero() for p in b.pieces)
+    assert all(b.ch(d).is_zero() for d in range(1, b.ring.truncation))
     assert all(c.is_zero() for c in chern_of(b))
 
 
@@ -259,10 +259,10 @@ def test_negative_powers_are_errors():
     ring = fiber_ring(base)
     rel = ZetaRelation(rank3_bundle(base))
     with pytest.raises(ValueError, match="negative"):
-        ring.gen("z") ** -1
+        power(ring.gen("z"), -1)
     with pytest.raises(ValueError, match="negative"):
         rel.power(rel.zeta_power(1), -2)
-    assert ring.gen("z") ** 0 == ring.one()
+    assert power(ring.gen("z"), 0) == ring.one()
     assert rel.power(rel.zeta_power(1), 0) == rel.of_fiber(ring.one())
 
 

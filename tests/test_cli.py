@@ -347,7 +347,8 @@ def test_minimize_json_reports_solver_counts(capsys):
 
 
 def test_spec_file_solves_like_preset(tmp_path, capsys):
-    from cecalc.plmin import preset, program_to_json
+    from cecalc.plmin import preset
+    from conftest import program_to_json
 
     path = tmp_path / "b4.json"
     path.write_text(json.dumps(program_to_json(preset("lemma_b4"))))
@@ -358,7 +359,8 @@ def test_spec_file_solves_like_preset(tmp_path, capsys):
 
 @pytest.mark.parametrize("spell", [str, float], ids=["string", "float"])
 def test_spec_file_accepts_integral_vars_and_sign_in_any_spelling(tmp_path, capsys, spell):
-    from cecalc.plmin import preset, program_to_json
+    from cecalc.plmin import preset
+    from conftest import program_to_json
 
     doc = program_to_json(preset("lemma_coh4"))  # two -1 hinges
     doc["vars"] = spell(doc["vars"])

@@ -18,10 +18,10 @@ from cecalc.plmin import (
     preset,
     program,
     program_from_json,
-    program_to_json,
     sample_check,
     solve,
 )
+from conftest import program_to_json
 
 B4_POINT = (
     Fraction(1, 4),
@@ -510,7 +510,11 @@ def test_presets_lower_bound_splitting_codimensions(preset_results):
     stated constraints (see the README's "Known limitation" note on the
     negative-summand cap), so that is what is checked.
     """
-    from cecalc.splitting import codim_hurwitz4, codim_simultaneous, constraints_5
+    from cecalc.splitting import codim_hurwitz4, constraints_5, h1
+
+    def codim_pair(e, f):
+        """h1(End e) + h1(End f): the codimension where a pair degenerates to (e, f)."""
+        return sum(h1(b - a for a in t for b in t) for t in (e, f))
 
     rng = random.Random(1234)
     min_b4 = preset_results["lemma_b4"][1].min_value
@@ -532,7 +536,7 @@ def test_presets_lower_bound_splitting_codimensions(preset_results):
         f = sorted_nonneg(2, g + 3)
         if 2 * e[0] > f[1]:
             continue  # outside the degeneracy region
-        assert codim_simultaneous(e, f) >= (g + 3) * min_b4 - 4
+        assert codim_pair(e, f) >= (g + 3) * min_b4 - 4
         checked += 1
 
     checked = 0
@@ -555,7 +559,7 @@ def test_presets_lower_bound_splitting_codimensions(preset_results):
         f = sorted_nonneg(5, 2 * g + 8)
         if e[0] + f[0] + f[1] > g + 4:
             continue
-        assert codim_simultaneous(e, f) >= (g + 4) * min_b5 - 16
+        assert codim_pair(e, f) >= (g + 4) * min_b5 - 16
         checked += 1
 
     checked = 0

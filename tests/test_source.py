@@ -1,7 +1,7 @@
 """Source-level guards: the library computes in exact arithmetic only, it
 and its tests import nothing they do not use, the library defines nothing
-that nobody reads, and no library module reaches into another's private
-names."""
+that only its unit tests read, and no library module reaches into
+another's private names."""
 
 import ast
 from collections import Counter
@@ -12,8 +12,12 @@ import pytest
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "cecalc").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 # Where a library name may be read: the library, its tests and the benchmark.
-READERS = SOURCES + TESTS + sorted((ROOT / "perfbench").glob("*.py"))
+READERS = SOURCES + TESTS + BENCHMARK
+# Where a library name must be read to stay in the library: the library, the
+# acceptance criteria and the benchmark, but no unit test.
+SURFACE_READERS = SOURCES + [ROOT / "tests" / "test_acceptance.py"] + BENCHMARK
 
 
 def inexact_nodes(tree):
@@ -115,15 +119,26 @@ def dead_names(tree, readers):
                 yield node.lineno, name
 
 
-def test_every_definition_is_read():
-    readers = [ast.parse(p.read_text(), filename=str(p)) for p in READERS]
-    found = [
+def dead_library_names(paths):
+    """``module:line name`` for each library def and class that no file in
+    ``paths`` (the library among them) reads."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+    return [
         f"{path.name}:{line} {name}"
-        for path, tree in zip(READERS, readers)
+        for path, tree in zip(paths, trees)
         if path in SOURCES
-        for line, name in dead_names(tree, readers)
+        for line, name in dead_names(tree, trees)
     ]
+
+
+def test_every_definition_is_read():
+    found = dead_library_names(READERS)
     assert not found, f"defined but never read: {', '.join(found)}"
+
+
+def test_no_definition_is_read_only_by_unit_tests():
+    found = dead_library_names(SURFACE_READERS)
+    assert not found, f"read only by unit tests: {', '.join(found)}"
 
 
 def test_the_guard_sees_dead_names():

@@ -7,7 +7,8 @@ module keeps the route that closed form replaced, so the tests can check
 one against the other: the Chern classes of a character by inverse
 Newton, the reduction by the relation, and the reduced product and power.
 ``join`` builds fiber-ring classes P + Q z by ring arithmetic, with c2
-read as -z^2, as the reference for ``split``.
+read as -z^2, as the reference for ``split``; ``power`` is repeated
+multiplication in a ``gring`` ring.
 """
 
 from fractions import Fraction
@@ -15,6 +16,15 @@ from math import factorial
 
 from cecalc.bundles import BundleChar, ZetaClass, ZetaRing, dual, fiber_ring, push_gamma, push_pi
 from cecalc.gring import GradedPoly
+
+
+def power(x: GradedPoly, exponent: int) -> GradedPoly:
+    if exponent < 0:
+        raise ValueError("negative powers are not defined")
+    result = x.ring.one()
+    for _ in range(exponent):
+        result = result * x
+    return result
 
 
 def join(p: GradedPoly, q: GradedPoly) -> GradedPoly:
@@ -28,7 +38,7 @@ def join(p: GradedPoly, q: GradedPoly) -> GradedPoly:
         for exps, coeff in x.terms.items():
             term = fiber.const(coeff)
             for gen, e in zip(gens, exps):
-                term = term * gen**e
+                term = term * power(gen, e)
             acc = acc + term
         return acc
 
