@@ -18,11 +18,13 @@ Three spaces appear, stacked over a base B whose Chow ring is a truncated
     Nothing here multiplies two such classes or reduces by the relation:
     ``hurwitz.kappa`` pushes the powers of zeta forward in closed form.
 
-Vector bundles on P are carried around as Chern characters (``BundleChar``):
-one element rank + ch_1 + ch_2 + ... of the fiber ring, whose graded pieces
-are its degree parts.  Chern classes are converted to characters by
-Newton's identities.  Tensor is the ring product, dual and Adams are psi^k
-(degree d scaled by k^d), and Sym^2, wedge^2 are (ch^2 +- psi^2 ch) / 2.
+A vector bundle on P is carried around as its Chern character, a plain
+fiber-ring element rank + ch_1 + ch_2 + ...: its graded pieces are its
+degree parts and its rank is the constant term, the ring's sum and product
+are the direct sum and tensor product of bundles, and equality compares
+characters.  Chern classes are converted to characters by Newton's
+identities; dual and Adams are psi^k (degree d scaled by k^d), and Sym^2,
+wedge^2 are (ch^2 +- psi^2 ch) / 2.
 """
 
 from __future__ import annotations
@@ -88,73 +90,13 @@ def push_pi(x: GradedPoly) -> GradedPoly:
     return split(x)[1]
 
 
-def fiber_exp(c: GradedPoly) -> GradedPoly:
-    """exp of a class with no degree-0 part, truncated by the ring."""
-    if not c.degree_part(0).is_zero():
-        raise ValueError("exp requires vanishing degree-0 part")
-    result = power = c.ring.one()
-    for n in range(1, c.ring.truncation + 1):
-        power = power * c
-        if power.is_zero():
-            break
-        result = result + power * Fraction(1, factorial(n))
-    return result
-
-
-class BundleChar:
-    """Chern character of a bundle on P: one fiber-ring element ``total``.
-
-    ``total`` is rank + ch_1 + ch_2 + ..., so the ring's truncated product
-    and sum are the tensor product and direct sum of bundles, ``ch(d)`` is
-    its degree-d part and equality compares totals.  ``rank`` is the
-    constant ch_0.
-    """
-
-    __slots__ = ("ring", "total", "rank")
-
-    def __init__(self, total: GradedPoly):
-        self.ring = total.ring
-        self.total = total
-        self.rank = int(total.terms.get((0,) * len(total.ring.names), 0))
-
-    @classmethod
-    def trivial(cls, ring: RingSpec, rank: int) -> "BundleChar":
-        return cls(ring.const(rank))
-
-    def ch(self, degree: int) -> GradedPoly:
-        """The degree-d character piece (d = 0 gives the rank)."""
-        return self.total.degree_part(degree)
-
-    def __add__(self, other: "BundleChar") -> "BundleChar":
-        return BundleChar(self.total + other.total)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BundleChar):
-            return NotImplemented
-        return self.total == other.total
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"BundleChar({fiber_text(self.total)})"
-
-
-def line_bundle(c1: GradedPoly) -> BundleChar:
-    """Line bundle with the given first Chern class: ch = exp(c1)."""
-    return BundleChar(fiber_exp(c1))
-
-
-def o_z(ring: RingSpec, n: int) -> BundleChar:
-    """The relative line bundle O(n z) on P, ``ring`` being a fiber ring."""
-    return line_bundle(ring.gen("z") * n)
-
-
-def chern_from_parts(ring: RingSpec, parts: Sequence[GradedPoly], rank: int) -> BundleChar:
+def chern_from_parts(ring: RingSpec, parts: Sequence[GradedPoly], rank: int) -> GradedPoly:
     """Build a character in the fiber ring ``ring`` from its Chern classes.
 
     ``parts[i-1]`` is c_i, homogeneous of degree i.  Newton's identities
     p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k give the power
-    sums, and ch = rank + sum_k p_k / k!.
+    sums, and ch = rank + sum_k p_k / k!; for a line bundle p_k = c_1^k, so
+    ch = exp(c_1).
     """
     if len(parts) > rank:
         raise ValueError(f"got {len(parts)} Chern classes for rank {rank}")
@@ -172,45 +114,45 @@ def chern_from_parts(ring: RingSpec, parts: Sequence[GradedPoly], rank: int) -> 
             acc = acc + term if i % 2 == 1 else acc - term
         p.append(acc)
         total = total + acc * Fraction(1, factorial(k))
-    return BundleChar(total)
+    return total
 
 
-def _psi(b: BundleChar, k: int) -> BundleChar:
+def o_z(ring: RingSpec, n: int) -> GradedPoly:
+    """ch of the relative line bundle O(n z) on P, ``ring`` being a fiber ring."""
+    return chern_from_parts(ring, [ring.gen("z") * n], 1)
+
+
+def _psi(ch: GradedPoly, k: int) -> GradedPoly:
     """psi^k for any nonzero integer k: the degree-d part times k^d."""
-    wdeg = b.ring.weighted_degree
-    return BundleChar(GradedPoly(b.ring, {e: c * k ** wdeg(e) for e, c in b.total.terms.items()}))
+    wdeg = ch.ring.weighted_degree
+    return GradedPoly(ch.ring, {e: c * k ** wdeg(e) for e, c in ch.terms.items()})
 
 
-def dual(b: BundleChar) -> BundleChar:
+def dual(ch: GradedPoly) -> GradedPoly:
     """Dual bundle: psi^{-1}, so the degree-d piece changes sign by (-1)^d."""
-    return _psi(b, -1)
+    return _psi(ch, -1)
 
 
-def tensor(a: BundleChar, b: BundleChar) -> BundleChar:
-    """Tensor product: characters multiply in A*(P)."""
-    return BundleChar(a.total * b.total)
+def det(ch: GradedPoly) -> GradedPoly:
+    """Determinant line bundle: its c_1 is ch_1."""
+    return chern_from_parts(ch.ring, [ch.degree_part(1)], 1)
 
 
-def det(b: BundleChar) -> BundleChar:
-    """Determinant line bundle: c_1 = ch_1(b)."""
-    return line_bundle(b.ch(1))
-
-
-def adams(b: BundleChar, k: int) -> BundleChar:
+def adams(ch: GradedPoly, k: int) -> GradedPoly:
     """Adams operation psi^k: scales the degree-d piece by k^d."""
     if k < 1:
         raise ValueError("Adams operations need k >= 1")
-    return _psi(b, k)
+    return _psi(ch, k)
 
 
-def sym2(b: BundleChar) -> BundleChar:
+def sym2(ch: GradedPoly) -> GradedPoly:
     """Sym^2 via (ch^2 + psi^2 ch) / 2."""
-    return BundleChar((b.total * b.total + adams(b, 2).total) * Fraction(1, 2))
+    return (ch * ch + adams(ch, 2)) * Fraction(1, 2)
 
 
-def wedge2(b: BundleChar) -> BundleChar:
+def wedge2(ch: GradedPoly) -> GradedPoly:
     """wedge^2 via (ch^2 - psi^2 ch) / 2."""
-    return BundleChar((b.total * b.total - adams(b, 2).total) * Fraction(1, 2))
+    return (ch * ch - adams(ch, 2)) * Fraction(1, 2)
 
 
 # -- the projective sub-bundle P(E^v) over P --------------------------------
@@ -219,15 +161,16 @@ def wedge2(b: BundleChar) -> BundleChar:
 class ZetaRing:
     """Classes of zeta-degree below r on P(E^v) -> P, r being the rank of E.
 
-    Built from the character of E, which gives the ring of P and the rank;
-    the ring must hold the degree-r relation, so its truncation exceeds r.
+    Built from the character of E, which gives the ring of P and, as its
+    constant term, the rank; the ring must hold the degree-r relation, so
+    its truncation exceeds r.
     """
 
     __slots__ = ("ring", "rank")
 
-    def __init__(self, e_char: BundleChar):
+    def __init__(self, e_char: GradedPoly):
         ring = e_char.ring
-        r = e_char.rank
+        r = int(e_char.terms.get((0,) * len(ring.names), 0))
         if r < 1:
             raise ValueError("projectivized bundle needs positive rank")
         if ring.truncation <= r:
@@ -279,18 +222,19 @@ def push_gamma(c: ZetaClass) -> GradedPoly:
     return c.coeffs[-1]
 
 
-def zeta_twisted_ch(b: BundleChar, n: int, degree: int, zring: ZetaRing) -> ZetaClass:
-    """Degree-d character piece of (gamma^* b)(n zeta) on P(E^v).
+def zeta_twisted_ch(ch: GradedPoly, n: int, degree: int, zring: ZetaRing) -> ZetaClass:
+    """Degree-d character piece of (gamma^* b)(n zeta) on P(E^v), ``ch``
+    being the character of b.
 
     ch_d(b(n zeta)) = sum_j ch_j(b) n^{d-j} zeta^{d-j} / (d-j)!.
     """
-    if b.ring != zring.ring:
+    if ch.ring != zring.ring:
         raise ValueError("character and zeta ring live over different bases")
     acc = zring.zero()
     for j in range(degree + 1):
         scale = Fraction(n ** (degree - j), factorial(degree - j))
         if scale == 0:
             continue
-        term = zring.zeta_power(degree - j) * b.ch(j) * scale
+        term = zring.zeta_power(degree - j) * ch.degree_part(j) * scale
         acc = acc + term
     return acc

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from typing import Optional, Sequence
 
 # Stable identifiers for the formula each number comes from, by command (and k
@@ -300,7 +301,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "output": output,
                 "citations": CITE.get(args.command) or CITE[args.command, args.k],
             }
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            # Encode piece by piece, written in blocks, so that a large
+            # document is never held as one string.
+            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+            for block in iter(lambda: "".join(islice(chunks, 1 << 16)), ""):
+                sys.stdout.write(block)
+            sys.stdout.write("\n")
         else:
             print("\n".join(lines))
         return 0

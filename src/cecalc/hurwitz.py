@@ -29,12 +29,10 @@ and no product of zeta classes is formed or reduced.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional, Union
 
 from .bundles import (
-    BundleChar,
     ZetaClass,
     ZetaRing,
     chern_from_parts,
@@ -42,19 +40,27 @@ from .bundles import (
     dual,
     fiber_ring,
     push_pi,
-    tensor,
     zeta_twisted_ch,
 )
 from .gring import GradedPoly, RingSpec
 
 SUPPORTED_DEGREES = (3, 4, 5)
+# ce_rank refuses a rank with more decimal digits than this: it is the
+# longest integer Python converts to text by default, and building a much
+# longer one takes seconds to minutes.
+RANK_DIGITS = 4300
+
 
 def ce_rank(i: int, k: int) -> int:
     """Rank of the i-th syzygy bundle in the length-(k-2) resolution.
 
     The general formula i(k-2-i)/(k-1) * C(k, i+1) evaluates to 0 at the
     final step i = k-2, where the bundle is the determinant line bundle;
-    that case is pinned to 1.
+    that case is pinned to 1.  C(k, i+1) = C(k, j) with j = min(i+1, k-i-1)
+    <= k/2, and C(k, t) only grows up to t = j, so it is formed at
+    t = 1, 3, 7, ..., j: a rank above RANK_DIGITS digits is refused as soon
+    as one of these shows it, and each is at most about the square of the
+    last one, which did not.
     """
     if k < 3:
         raise ValueError(f"covering degree must be >= 3, got {k}")
@@ -62,10 +68,19 @@ def ce_rank(i: int, k: int) -> int:
         raise ValueError(f"index {i} outside [1, {k - 2}]")
     if i == k - 2:
         return 1
-    value = Fraction(i * (k - 2 - i), k - 1) * comb(k, i + 1)
-    if value.denominator != 1:
+    scale = i * (k - 2 - i)
+    cap = 10**RANK_DIGITS * (k - 1)  # rank >= 10^RANK_DIGITS iff C * scale >= cap
+    j = min(i + 1, k - i - 1)
+    t = 0
+    while t < j:
+        t = min(2 * t + 1, j)
+        binom = comb(k, t)
+        if binom * scale >= cap:
+            raise ValueError(f"rank for k = {k}, i = {i} has more than {RANK_DIGITS} digits")
+    rank, rest = divmod(binom * scale, k - 1)
+    if rest:
         raise ArithmeticError(f"non-integral rank for (i={i}, k={k})")
-    return int(value)
+    return rank
 
 
 def _bundles(k: int) -> tuple[tuple[str, int, int], ...]:
@@ -110,11 +125,11 @@ class CESetup(NamedTuple):
     f_chern: tuple[GradedPoly, ...]  # c_i(F) = b_i + b_i' z
 
     @property
-    def e_char(self) -> BundleChar:
+    def e_char(self) -> GradedPoly:
         return chern_from_parts(fiber_ring(self.ring), self.e_chern, len(self.e_chern))
 
     @property
-    def f_char(self) -> BundleChar:
+    def f_char(self) -> GradedPoly:
         """The character of F; it equals det(E) when degree == 3."""
         return chern_from_parts(fiber_ring(self.ring), self.f_chern, len(self.f_chern))
 
@@ -162,7 +177,7 @@ def curve_class(setup: CESetup) -> ZetaClass:
     elif k == 4:
         terms = [(-1, f_char, -2), (1, det_e, -4)]
     else:
-        middle = tensor(dual(f_char), det_e)
+        middle = dual(f_char) * det_e
         terms = [(-1, f_char, -2), (1, middle, -3), (-1, det_e, -5)]
     acc = zring.zero()
     for sign, char, n in terms:

@@ -574,53 +574,53 @@ def preset(name: str) -> PLProgram:
     (x1..x4, y1..y5) for the degree-5 ones; x sums to 1, y sums to 1
     (degree 4) or 2 (degree 5), all coordinates ascending and nonnegative.
     """
-    if name == "lemma_b4":
+    if name in ("lemma_b4", "lemma_coh4"):
+        shared = {
+            "num_vars": 5,
+            "equalities": [([1, 1, 1, 0, 0], 1), ([0, 0, 0, 1, 1], 1)],
+            "objective_linear": [-2, 0, 2, -1, 1],
+        }
+        ordered = [  # 0 <= x1 <= x2 <= x3 and 0 <= y1
+            ([-1, 0, 0, 0, 0], 0),
+            ([1, -1, 0, 0, 0], 0),
+            ([0, 1, -1, 0, 0], 0),
+            ([0, 0, 0, -1, 0], 0),
+        ]
+        if name == "lemma_b4":
+            return program(
+                inequalities=ordered + [
+                    ([0, 0, 0, 1, -1], 0),   # y1 <= y2
+                    ([2, 0, 0, 0, -1], 0),   # 2 x1 <= y2
+                ],
+                **shared,
+            )
         return program(
-            num_vars=5,
-            equalities=[([1, 1, 1, 0, 0], 1), ([0, 0, 0, 1, 1], 1)],
-            inequalities=[
-                ([-1, 0, 0, 0, 0], 0),
-                ([1, -1, 0, 0, 0], 0),
-                ([0, 1, -1, 0, 0], 0),
-                ([0, 0, 0, -1, 0], 0),
-                ([0, 0, 0, 1, -1], 0),
-                ([2, 0, 0, 0, -1], 0),
-            ],
-            objective_linear=[-2, 0, 2, -1, 1],
-        )
-    if name == "lemma_coh4":
-        return program(
-            num_vars=5,
-            equalities=[([1, 1, 1, 0, 0], 1), ([0, 0, 0, 1, 1], 1)],
-            inequalities=[
-                ([-1, 0, 0, 0, 0], 0),
-                ([1, -1, 0, 0, 0], 0),
-                ([0, 1, -1, 0, 0], 0),
-                ([0, 0, 0, -1, 0], 0),
+            inequalities=ordered + [
                 ([-2, 0, 0, 1, 0], 0),   # y1 <= 2 x1
                 ([2, 0, 0, 0, -1], 0),   # 2 x1 <= y2
                 ([0, -2, 0, 0, 1], 0),   # y2 <= 2 x2
                 ([-1, 0, -1, 0, 1], 0),  # y2 <= x1 + x3
             ],
-            objective_linear=[-2, 0, 2, -1, 1],
             hinges=[
                 (-1, [-2, 0, 0, 0, 1], 0),   # -max(0, y2 - 2 x1)
                 (-1, [-1, -1, 0, 0, 1], 0),  # -max(0, y2 - x1 - x2)
             ],
+            **shared,
         )
-    if name == "lemma_b5circ":
-        return program(
-            num_vars=9,
-            equalities=[
+    if name in ("lemma_b5circ", "lemma_coh5"):
+        shared = {
+            "num_vars": 9,
+            "equalities": [
                 ([1, 1, 1, 1, 0, 0, 0, 0, 0], 1),
                 ([0, 0, 0, 0, 1, 1, 1, 1, 1], 2),
             ],
-            inequalities=_ordered_simplex_rows() + [
-                ([1, 0, 0, 0, 1, 1, 0, 0, 0], 1),  # x1 + y1 + y2 <= 1
-            ],
-            objective_linear=[-3, -1, 1, 3, -4, -2, 0, 2, 4],
-        )
-    if name == "lemma_coh5":
+            "objective_linear": [-3, -1, 1, 3, -4, -2, 0, 2, 4],
+        }
+        rows = _ordered_simplex_rows() + [
+            ([1, 0, 0, 0, 1, 1, 0, 0, 0], 1),  # x1 + y1 + y2 <= 1
+        ]
+        if name == "lemma_b5circ":
+            return program(inequalities=rows, **shared)
         hinges = []
         groups = [((0, 1), 4), ((0, 2), 3), ((0, 3), 2), ((1, 2), 2)]
         for (j, k), count in groups:
@@ -631,19 +631,13 @@ def preset(name: str) -> PLProgram:
                 coeffs[4 + k] -= 1
                 hinges.append((-1, coeffs, -1))  # -max(0, 1 - y_j - y_k - x_i)
         return program(
-            num_vars=9,
-            equalities=[
-                ([1, 1, 1, 1, 0, 0, 0, 0, 0], 1),
-                ([0, 0, 0, 0, 1, 1, 1, 1, 1], 2),
-            ],
-            inequalities=_ordered_simplex_rows() + [
-                ([1, 0, 0, 0, 1, 1, 0, 0, 0], 1),    # x1 + y1 + y2 <= 1
+            inequalities=rows + [
                 ([0, 0, 0, -1, -1, 0, -1, 0, 0], -1),  # y1 + y3 + x4 >= 1
                 ([0, 0, -1, 0, -1, 0, 0, -1, 0], -1),  # y1 + y4 + x3 >= 1
                 ([0, 0, -1, 0, 0, -1, -1, 0, 0], -1),  # y2 + y3 + x3 >= 1
             ],
-            objective_linear=[-3, -1, 1, 3, -4, -2, 0, 2, 4],
             hinges=hinges,
+            **shared,
         )
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 

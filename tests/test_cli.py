@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import random
 import re
 import subprocess
@@ -14,8 +15,11 @@ import pytest
 
 from cecalc.cli import build_parser, main
 
-GOLDEN = Path(__file__).parent / "golden"
-README = Path(__file__).parent.parent / "README.md"
+ROOT = Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+README = ROOT / "README.md"
+# Subprocesses import the cecalc of this checkout, not an installed copy.
+CHECKOUT_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def run_cli(capsys, argv):
@@ -378,6 +382,7 @@ def test_console_entry_point_via_module():
         [sys.executable, "-m", "cecalc", "ce-rank", "-k", "5", "-i", "2"],
         capture_output=True,
         text=True,
+        env=CHECKOUT_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "rank(F_2) = 5\n"
@@ -406,7 +411,7 @@ def launch(argv):
     needs.
     """
     proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCH, *argv], capture_output=True, text=True
+        [sys.executable, "-c", _LAUNCH, *argv], capture_output=True, text=True, env=CHECKOUT_ENV
     )
     return proc.returncode, set(proc.stdout.splitlines()[-1].split()), proc.stderr
 
@@ -431,6 +436,19 @@ def test_text_launch_loads_no_dataclasses_and_no_json(argv):
     code, loaded, _ = launch(argv)
     assert code == 0
     assert not loaded & {"dataclasses", "json"}
+
+
+def test_ce_rank_refuses_ranks_over_the_digit_cap_fast(capsys):
+    start = time.perf_counter()
+    code, _, err = launch(["ce-rank", "-k", "1000000", "-i", "500000"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "k = 1000000, i = 500000" in err
+    code, _, _ = launch(["ce-rank", "-k", "14000", "-i", "6999"])
+    assert code == 0
+    # 4231 digits: below the cap, printed in full
+    rank = 6999 * 6999 * comb(14000, 7000) // 13999
+    assert run_cli(capsys, ["ce-rank", "-k", "14000", "-i", "6999"]) == (0, f"rank(F_6999) = {rank}\n")
 
 
 def test_json_launch_loads_json():

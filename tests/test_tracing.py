@@ -47,3 +47,9 @@ def test_trace_counts_the_quartic_constraint_calls(tmp_path):
     trace = traced(tmp_path, ["strata", "-k", "4", "-g", "8", "--filter", "all"])
     assert trace["counts"]["splitting.constraints_4"] > 0
     assert trace["counts"]["splitting.strata_rows"] > 0
+
+
+def test_trace_wraps_the_class_stack_names(tmp_path):
+    trace = traced(tmp_path, ["curve-class", "-k", "5", "--symbolic"])
+    assert trace["span_calls"]["hurwitz.curve_class"] == 1
+    assert trace["span_calls"]["bundles.zeta_twisted_ch"] == 3

@@ -14,7 +14,7 @@ multiplication in a ``gring`` ring.
 from fractions import Fraction
 from math import factorial
 
-from cecalc.bundles import BundleChar, ZetaClass, ZetaRing, dual, fiber_ring, push_gamma, push_pi
+from cecalc.bundles import ZetaClass, ZetaRing, dual, fiber_ring, push_gamma, push_pi
 from cecalc.gring import GradedPoly
 
 
@@ -45,14 +45,16 @@ def join(p: GradedPoly, q: GradedPoly) -> GradedPoly:
     return lift(p) + lift(q) * z
 
 
-def chern_of(b: BundleChar) -> list[GradedPoly]:
-    """Chern classes c_1, ..., c_min(rank, D-1) recovered from a character.
+def chern_of(ch: GradedPoly) -> list[GradedPoly]:
+    """Chern classes c_1, ..., c_min(rank, D-1) recovered from a character,
+    the rank being its constant term.
 
     Inverse Newton: k c_k = sum_{i=1..k} (-1)^{i-1} c_{k-i} p_i.
     """
-    ring = b.ring
-    top = min(b.rank, ring.truncation - 1) if b.rank >= 0 else ring.truncation - 1
-    p = [b.ch(d) * factorial(d) for d in range(1, ring.truncation)]
+    ring = ch.ring
+    rank = int(ch.terms.get((0,) * len(ring.names), 0))
+    top = min(rank, ring.truncation - 1) if rank >= 0 else ring.truncation - 1
+    p = [ch.degree_part(d) * factorial(d) for d in range(1, ring.truncation)]
     cs: list[GradedPoly] = [ring.one()]
     for k in range(1, top + 1):
         acc = ring.zero()
@@ -67,10 +69,10 @@ class ZetaRelation:
     """The relation of P(E^v) -> P, its coefficients c_1(E^v), ..., c_r(E^v)
     recovered from the character of E, and the reduced arithmetic it gives."""
 
-    def __init__(self, e_char: BundleChar):
+    def __init__(self, e_char: GradedPoly):
         self.zring = ZetaRing(e_char)
         self.ring = e_char.ring
-        self.rank = e_char.rank
+        self.rank = self.zring.rank
         self.dual_chern = tuple(chern_of(dual(e_char)))
 
     def reduce(self, raw: list[GradedPoly]) -> ZetaClass:
@@ -114,7 +116,7 @@ def lift(c: ZetaClass, zring: ZetaRing) -> ZetaClass:
     return ZetaClass(zring, [a.retruncate(zring.ring) for a in c.coeffs])
 
 
-def kappa_reference(c_class: ZetaClass, e_char: BundleChar, i: int) -> GradedPoly:
+def kappa_reference(c_class: ZetaClass, e_char: GradedPoly, i: int) -> GradedPoly:
     """pi_* gamma_*([C] . (zeta - 2z)^{i+1}) by reduced products, [C] and E
     living over the same ring."""
     rel = ZetaRelation(e_char)
