@@ -40,6 +40,8 @@ Report = tuple[dict, dict, list[str]]
 def _genus(args: argparse.Namespace) -> Optional[int]:
     """The --genus value, or None (a symbolic genus) under --symbolic."""
     if args.symbolic:
+        if args.genus is not None:
+            raise ValueError("give --genus G or --symbolic, not both")
         return None
     if args.genus is None:
         raise ValueError("provide --genus G or --symbolic")

@@ -33,8 +33,8 @@ ValueError before any enumeration starts.
 is not too high: a hit-and-run walk on a lattice in subspace coordinates,
 every point of which is feasible by construction.  It shares steps 1 and 2
 and the objective numerator with the solver, not the enumeration.  It fails
-only before its first step: on an empty or unbounded region, or when no
-start is given and the subspace origin is infeasible.
+only before its first step: with ``solve``'s own error when steps 1 and 2
+refuse the region, and with ValueError when the given start is not feasible.
 
 Everything is integer arithmetic, with Fractions only for the inputs, the
 minimum and the argmin points; there is no floating point anywhere, so
@@ -68,10 +68,6 @@ class InfeasibleError(PLError):
 
 class UnboundedError(PLError):
     """The feasible region is unbounded (vertex enumeration is invalid)."""
-
-
-class SamplingError(PLError):
-    """The sampling walk has no feasible start: its region is empty or unbounded."""
 
 
 def _vec(values: Iterable[Scalar], n: int, what: str) -> Vector:
@@ -164,13 +160,6 @@ def objective_value(p: PLProgram, x: Sequence[Scalar]) -> Fraction:
         if excess > 0:
             value += h.sign * excess
     return value
-
-
-def is_feasible(p: PLProgram, x: Sequence[Scalar]) -> bool:
-    x = _vec(x, p.num_vars, "point")
-    return all(_dot(a, x) == b for a, b in p.equalities) and all(
-        _dot(a, x) <= b for a, b in p.inequalities
-    )
 
 
 # -- exact linear algebra -----------------------------------------------------
@@ -333,7 +322,7 @@ class _Region(NamedTuple):
     scale: int
 
 
-def _region(p: PLProgram, empty: PLError) -> _Region:
+def _region(p: PLProgram) -> _Region:
     """Eliminate the equalities, project every form and certify boundedness.
 
     The equality rows are folded into one basis; a pivot in its rhs column
@@ -346,8 +335,8 @@ def _region(p: PLProgram, empty: PLError) -> _Region:
     independent one has a null line, and neither of its two rays d may have
     W d <= 0, W being the matrix of normals.
 
-    Raises InfeasibleError when the equalities are inconsistent, ``empty``
-    when an inequality that is constant on the subspace fails, ValueError
+    Raises InfeasibleError when the equalities are inconsistent or an
+    inequality that is constant on the subspace fails, ValueError
     when the boundedness check or the vertex enumeration would visit more
     than ``MAX_SUBSETS`` subsets, and UnboundedError when the region is
     unbounded, in that order.
@@ -376,7 +365,7 @@ def _region(p: PLProgram, empty: PLError) -> _Region:
         if any(w):
             ineq.append((w, c))
         elif c < 0:
-            raise empty
+            raise InfeasibleError("inequality violated on the equality subspace")
     lin = project(p.objective_linear, Fraction(0))
     hinges = [(h.sign, *project(h.coeffs, h.rhs)) for h in p.hinges]
     planes = list(dict.fromkeys(
@@ -456,7 +445,7 @@ def solve(p: PLProgram) -> PLSolution:
     either step, when the boundedness check or the enumeration would visit
     more than ``MAX_SUBSETS`` subsets.
     """
-    r = _region(p, InfeasibleError("inequality violated on the equality subspace"))
+    r = _region(p)
     m = len(r.free)
     best: Optional[tuple[int, int]] = None  # (numerator, q) of the least value so far
     argmins: dict[tuple[tuple[int, ...], int], None] = {}
@@ -488,27 +477,21 @@ def solve(p: PLProgram) -> PLSolution:
 # -- feasible-point sampling oracle -------------------------------------------
 
 
-def sample_check(
-    p: PLProgram,
-    trials: int,
-    seed: int,
-    center: Optional[Sequence[Scalar]] = None,
-) -> Fraction:
+def sample_check(p: PLProgram, trials: int, seed: int, center: Sequence[Scalar]) -> Fraction:
     """Minimum of the objective over the points of a hit-and-run walk.
 
     The region is first reduced and certified bounded exactly as ``solve``
-    does it.  The walk starts at ``center``, which must be feasible, or,
-    without one, at the origin of the subspace coordinates, and lives on
-    the lattice (1/Q) Z^m of those coordinates, Q being 64 times the lcm of
-    the start's denominators.  Each step picks a direction d uniformly from
-    {-1, 0, 1}^m minus 0, computes from the integer slacks of the projected
-    inequalities the chord of lattice points t + j d that stay feasible, and
-    moves to one of them chosen uniformly (j = 0 included).  The region is
-    bounded, so both ends of every chord are closed.  Every point is
-    feasible by construction and exactly ``trials`` points are drawn, the
-    start being the first, so the returned value is a certified upper bound
-    for the true minimum: it can never undercut ``solve``.  Everything runs
-    on integers and every value is exact.
+    does it.  The walk starts at ``center``, which must be feasible, and
+    lives on the lattice (1/Q) Z^m of the subspace coordinates, Q being 64
+    times the lcm of the start's denominators.  Each step picks a direction
+    d uniformly from {-1, 0, 1}^m minus 0, computes from the integer slacks
+    of the projected inequalities the chord of lattice points t + j d that
+    stay feasible, and moves to one of them chosen uniformly (j = 0
+    included).  The region is bounded, so both ends of every chord are
+    closed.  Every point is feasible by construction and exactly ``trials``
+    points are drawn, the start being the first, so the returned value is a
+    certified upper bound for the true minimum: it can never undercut
+    ``solve``.  Everything runs on integers and every value is exact.
 
     The bound is only as tight as the walk's start.  From the feasible
     center (1/10, 1/5, 3/10, 2/5, 3/10, 7/20, 2/5, 9/20, 1/2),
@@ -516,33 +499,22 @@ def sample_check(
     while its minimum is 1/5.  That is why criterion 9 of the acceptance
     suite starts each walk at the argmin.
 
-    Raises InfeasibleError when the equalities are inconsistent,
-    SamplingError when an inequality fails on the whole equality subspace,
-    when the region is unbounded, or when no center is given and the origin
-    violates an inequality; ValueError for an infeasible center and for a
-    program over ``solve``'s subset limit.
+    Raises the error of ``solve``, with its text, when ``solve`` refuses
+    the region, and then ValueError when the center is not feasible: when a
+    slack of the walk is negative at it, or it is off the equality subspace.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    try:
-        r = _region(p, SamplingError("region is empty on the equality subspace"))
-    except UnboundedError as exc:
-        raise SamplingError(f"region is unbounded: {exc}") from None
+    r = _region(p)
     m = len(r.free)
-    if center is not None:
-        cx = _vec(center, p.num_vars, "center")
-        if not is_feasible(p, cx):
-            raise ValueError("supplied center is not feasible")
-        start = [cx[f] for f in r.free]
-    else:
-        start = [Fraction(0)] * m
+    cx = _vec(center, p.num_vars, "center")
+    start = [cx[f] for f in r.free]
     q = 64 * lcm(1, *(v.denominator for v in start))
     tn = [int(v * q) for v in start]
-
     # slack c q - w . tn of each inequality w . t <= c, kept >= 0 along the walk
     slack = [c * q - _dot(w, tn) for w, c in r.ineq]
-    if any(s < 0 for s in slack):
-        raise SamplingError("the subspace origin violates an inequality; supply a feasible center")
+    if any(s < 0 for s in slack) or _lift(r, tn, q) != cx:
+        raise ValueError("supplied center is not feasible")
     best = _numerator(r, tn, q)
     rng = random.Random(seed)
     # with m = 0 the region is one point and every draw is the start

@@ -275,8 +275,8 @@ def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRe
     if filter not in _FILTERS:
         raise ValueError(f"filter must be one of {_FILTERS}, got {filter!r}")
     d = genus + 3
-    # (number of sorted e) * (number of sorted f)
-    candidates = sum((d - e1) // 2 - e1 + 1 for e1 in range(1, d // 3 + 1)) * (d // 2)
+    # (number of sorted e: the partitions of d into three parts) * (number of sorted f)
+    candidates = (d * d + 6) // 12 * (d // 2)
     if candidates > MAX_STRATA_CANDIDATES:
         raise ValueError(
             f"genus {genus} has {candidates} candidate strata, "

@@ -1,9 +1,11 @@
 import time
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from cecalc import plmin
+from cecalc.plmin import _dot, _vec
 
 
 @pytest.fixture(scope="session")
@@ -77,3 +79,11 @@ def program_to_json(p: plmin.PLProgram) -> dict:
             ],
         },
     }
+
+
+def is_feasible(p: plmin.PLProgram, x: Sequence[plmin.Scalar]) -> bool:
+    """Whether x meets every row of p, in Fractions: the solver tests' reference."""
+    x = _vec(x, p.num_vars, "point")
+    return all(_dot(a, x) == b for a, b in p.equalities) and all(
+        _dot(a, x) <= b for a, b in p.inequalities
+    )

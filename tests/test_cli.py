@@ -310,6 +310,14 @@ def test_oversized_strata_table_exits_2_fast(capsys):
     assert "genus 100000 has 41670000083334 candidate strata, more than the limit" in err
 
 
+def test_strata_refuses_any_genus_at_once(capsys):
+    # the candidates are counted in closed form, not by a loop over the genus
+    start = time.perf_counter()
+    assert main(["strata", "-k", "4", "-g", "1000000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "41666666667000000000000833333333334 candidate strata" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("filter", ["all", "irreducible", "non_factoring"])
 def test_strata_limit_counts_every_candidate_whatever_the_filter(capsys, filter):
     # the filtered views visit fewer pairs, but the limit counts them all
@@ -319,6 +327,18 @@ def test_strata_limit_counts_every_candidate_whatever_the_filter(capsys, filter)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "genus 619 has 10026640 candidate strata, more than the limit" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kappa", "-k", "3", "-i", "1"], ["curve-class", "-k", "3", "--json"]],
+    ids=["kappa", "curve-class"],
+)
+def test_genus_and_symbolic_together_exit_2(capsys, argv):
+    assert main([*argv, "--genus", "5", "--symbolic"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give --genus G or --symbolic, not both\n"
 
 
 def test_splitting_codim_k4_prints_the_raw_formula_for_unequal_degrees(capsys):

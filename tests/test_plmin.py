@@ -10,10 +10,8 @@ import pytest
 
 from cecalc.plmin import (
     InfeasibleError,
-    SamplingError,
     UnboundedError,
     bound,
-    is_feasible,
     objective_value,
     preset,
     program,
@@ -21,7 +19,7 @@ from cecalc.plmin import (
     sample_check,
     solve,
 )
-from conftest import program_to_json
+from conftest import is_feasible, program_to_json
 
 B4_POINT = (
     Fraction(1, 4),
@@ -89,8 +87,8 @@ def test_equalities_pinning_a_single_point():
     )
     with pytest.raises(InfeasibleError, match="inequality violated on the equality subspace"):
         solve(bad)
-    with pytest.raises(SamplingError, match="region is empty on the equality subspace"):
-        sample_check(bad, trials=5, seed=0)
+    with pytest.raises(InfeasibleError, match="inequality violated on the equality subspace"):
+        sample_check(bad, trials=5, seed=0, center=[2, 3])
 
 
 def test_hinge_terms_shift_the_minimizer():
@@ -193,8 +191,7 @@ def test_infeasible_region_is_reported():
         )
 
 
-# (program, error of solve, its text); sample_check raises the same, except
-# that it wraps an UnboundedError in a SamplingError
+# (program, error of solve, its text); sample_check raises the same
 REGION_ERRORS = [
     (  # x + 2y + z = 3 less x + y = 1 and y + z = 1 reads 0 = 1
         dict(num_vars=3, equalities=[([1, 1, 0], 1), ([0, 1, 1], 1), ([1, 2, 1], 3)]),
@@ -226,10 +223,8 @@ def test_region_error_texts(spec, error, text):
     p = program(**spec)
     with pytest.raises(error, match=f"^{text}$"):
         solve(p)
-    if error is UnboundedError:
-        error, text = SamplingError, f"region is unbounded: {text}"
-    with pytest.raises(error, match=f"^{text}$"):
-        sample_check(p, trials=5, seed=0)
+    with pytest.raises(error, match=f"^{text}$"):  # the region fails before the center is read
+        sample_check(p, trials=5, seed=0, center=[0] * p.num_vars)
 
 
 # -- presets ----------------------------------------------------------------------
@@ -375,9 +370,6 @@ def test_pinned_walk_values(name, seed, trials, want):
     center = _point(WALK_CENTERS[p.num_vars])
     assert sample_check(p, trials=trials, seed=seed, center=center) == Fraction(want)
     assert sample_check(p, trials=trials - 1, seed=seed, center=center) > Fraction(want)
-    # every preset's subspace origin is infeasible, so only a centred walk runs
-    with pytest.raises(SamplingError, match="origin"):
-        sample_check(p, trials=trials, seed=seed)
 
 
 # -- JSON format ----------------------------------------------------------------------
@@ -409,7 +401,7 @@ def test_json_rejects_ragged_rows():
 
 def test_sample_check_trivial_program_is_nonnegative():
     p = box_program()
-    value = sample_check(p, trials=200, seed=5)
+    value = sample_check(p, trials=200, seed=5, center=[Fraction(1, 2)])
     assert value >= 0
 
 
@@ -422,6 +414,11 @@ def test_sample_check_with_argmin_center_returns_the_minimum(preset_results):
 def test_sample_check_rejects_infeasible_center():
     with pytest.raises(ValueError, match="not feasible"):
         sample_check(box_program(), trials=10, seed=0, center=[5])
+    # x1 is a pivot coordinate: the walk's slacks read only x2, x3 and y2, so
+    # only the lift shows that x1 + x2 + x3 = 1 fails
+    off_subspace = (Fraction(1, 5),) + B4_POINT[1:]
+    with pytest.raises(ValueError, match="not feasible"):
+        sample_check(preset("lemma_b4"), trials=10, seed=0, center=off_subspace)
 
 
 def test_sample_check_error_when_region_is_empty():
@@ -430,8 +427,8 @@ def test_sample_check_error_when_region_is_empty():
         inequalities=[([1], 0), ([-1], -1)],
         objective_linear=[1],
     )
-    with pytest.raises(SamplingError):
-        sample_check(p, trials=10, seed=0)
+    with pytest.raises(ValueError, match="supplied center is not feasible"):  # no start is feasible
+        sample_check(p, trials=10, seed=0, center=[0])
 
 
 def test_sample_check_never_undercuts_random_programs(random_program_factory):
@@ -446,8 +443,8 @@ def test_sample_check_never_undercuts_random_programs(random_program_factory):
 
 def test_sample_check_unbounded_region_raises():
     p = program(num_vars=1, inequalities=[([-1], 0)], objective_linear=[1])  # x >= 0
-    with pytest.raises(SamplingError, match="unbounded"):
-        sample_check(p, trials=2, seed=0)
+    with pytest.raises(UnboundedError, match="^feasible interval is a half line$"):
+        sample_check(p, trials=2, seed=0, center=[0])
 
 
 def test_sample_check_refuses_a_cone_no_walk_direction_follows():
@@ -461,14 +458,12 @@ def test_sample_check_refuses_a_cone_no_walk_direction_follows():
     )
     with pytest.raises(UnboundedError, match=r"recession ray \(2, 1\)"):
         solve(p)
-    with pytest.raises(SamplingError, match=r"unbounded: recession ray \(2, 1\)"):
+    with pytest.raises(UnboundedError, match=r"^recession ray \(2, 1\) detected$"):
         sample_check(p, trials=2000, seed=1, center=[5, 2])
 
 
-def test_sample_check_without_center_needs_a_feasible_origin():
+def test_sample_check_from_a_center_off_the_origin():
     p = program(num_vars=1, inequalities=[([-1], -1), ([1], 2)], objective_linear=[1])
-    with pytest.raises(SamplingError, match="origin"):
-        sample_check(p, trials=10, seed=0)
     assert 1 <= sample_check(p, trials=10, seed=0, center=[Fraction(3, 2)]) <= Fraction(3, 2)
 
 
@@ -491,7 +486,7 @@ def test_sample_check_on_a_single_point_region():
         inequalities=[([1, 0], 1)],
         objective_linear=[3, 1],
     )
-    assert sample_check(p, trials=20, seed=0) == Fraction(5, 3)
+    assert sample_check(p, trials=20, seed=0, center=[Fraction(1, 3), Fraction(2, 3)]) == Fraction(5, 3)
 
 
 # -- random-program invariances ----------------------------------------------------------

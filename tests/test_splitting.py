@@ -356,6 +356,15 @@ def test_filtered_tables_are_the_full_table_filtered(genus):
             assert [r for r in table if edge(r)] == passing, (genus, filter)
 
 
+def test_candidate_count_is_the_loop_over_e1(monkeypatch):
+    # with the limit at 0 every genus is refused, and its message gives the count
+    monkeypatch.setattr("cecalc.splitting.MAX_STRATA_CANDIDATES", 0)
+    for d in range(5, 2000):
+        loop = sum((d - e1) // 2 - e1 + 1 for e1 in range(1, d // 3 + 1)) * (d // 2)
+        with pytest.raises(ValueError, match=f"^genus {d - 3} has {loop} candidate strata, "):
+            enumerate_strata4(d - 3, "all")
+
+
 def test_enumerate_refuses_an_oversized_search_before_enumerating():
     # genus 619: 32 240 e types times 311 f types, the first genus over the limit
     with pytest.raises(ValueError, match=f"10026640 candidate strata, .* {MAX_STRATA_CANDIDATES}"):

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` patches layer functions by attribute name, so a
 renamed or deleted name breaks ``--trace 1`` runs; these tests run its
-child driver in a fresh process on one command per layer.
+child driver in a fresh process on one command per layer and on each of
+its two library drivers.
 """
 
 import json
@@ -16,17 +17,29 @@ import pytest
 ROOT = Path(__file__).parent.parent
 
 
-def traced(tmp_path, argv):
-    """Run ``perfbench/child.py --trace`` on a cecalc command; return its trace."""
+def child(tmp_path, *argv):
+    """Run ``perfbench/child.py --trace`` on argv; return its stdout and trace."""
     out = tmp_path / "trace.json"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"), "--trace", str(out), "cli", *argv],
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "--trace", str(out), *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(out.read_text())
+    return proc.stdout, json.loads(out.read_text())
+
+
+def traced(tmp_path, argv):
+    """The trace of ``perfbench/child.py`` on a cecalc command."""
+    return child(tmp_path, "cli", *argv)[1]
+
+
+def library_driver(tmp_path, spec):
+    """Stdout and trace of ``perfbench/child.py`` on a library driver spec."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return child(tmp_path, "lib", str(path))
 
 
 @pytest.mark.parametrize(
@@ -53,3 +66,18 @@ def test_trace_wraps_the_class_stack_names(tmp_path):
     trace = traced(tmp_path, ["curve-class", "-k", "5", "--symbolic"])
     assert trace["span_calls"]["hurwitz.curve_class"] == 1
     assert trace["span_calls"]["bundles.zeta_twisted_ch"] == 3
+
+
+def test_trace_runs_the_sampler_driver(tmp_path):
+    center = ["1/4", "3/8", "3/8", "1/2", "1/2"]
+    spec = {"op": "sample", "preset": "lemma_b4", "trials": 50, "seed": 1, "center": center}
+    out, trace = library_driver(tmp_path, spec)
+    assert out == '{"value": "1/4"}\n'
+    assert trace["span_calls"]["plmin.sample_check"] == 1
+    assert trace["counts"]["plmin.sample_trials"] == 50
+
+
+def test_trace_runs_the_pfaffian_sweep_driver(tmp_path):
+    out, trace = library_driver(tmp_path, {"op": "sweep", "genera": [10]})
+    assert json.loads(out) == {"pairs": 401, "max": 21, "witness": [10, [1, 1, 3, 9], [5, 5, 6, 6, 6]]}
+    assert trace["counts"]["splitting.constraints_5"] == 12420
