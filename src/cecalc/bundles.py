@@ -12,11 +12,12 @@ Three spaces appear, stacked over a base B whose Chow ring is a truncated
     in the base ring, and the pushforward pi_* reads off Q.
   * A projective sub-bundle gamma: P(E^v) -> P for a bundle E on P of rank
     r.  Its ring is A*(P)[zeta] / (zeta^r + c1(E^v) zeta^{r-1} + ... +
-    c_r(E^v)).  ``ZetaClass`` holds the classes of zeta-degree below r,
-    c_0 + c_1 zeta + ... + c_{r-1} zeta^{r-1}, which the relation does not
-    touch, so the pushforward gamma_* reads off the zeta^{r-1} coefficient.
+    c_r(E^v)).  ``ZetaClass`` holds a class of zeta-degree below r as its
+    r coefficients c_0, ..., c_{r-1} in A*(P); the relation does not touch
+    it, so the pushforward gamma_* reads off the zeta^{r-1} coefficient.
     Nothing here multiplies two such classes or reduces by the relation:
-    ``hurwitz.kappa`` pushes the powers of zeta forward in closed form.
+    ``hurwitz.kappa`` pushes the powers of zeta forward in closed form, and
+    the relation itself lives only in the tests' reference oracle.
 
 A vector bundle on P is carried around as its Chern character, a plain
 fiber-ring element rank + ch_1 + ch_2 + ...: its graded pieces are its
@@ -133,11 +134,6 @@ def dual(ch: GradedPoly) -> GradedPoly:
     return _psi(ch, -1)
 
 
-def det(ch: GradedPoly) -> GradedPoly:
-    """Determinant line bundle: its c_1 is ch_1."""
-    return chern_from_parts(ch.ring, [ch.degree_part(1)], 1)
-
-
 def adams(ch: GradedPoly, k: int) -> GradedPoly:
     """Adams operation psi^k: scales the degree-d piece by k^d."""
     if k < 1:
@@ -158,54 +154,21 @@ def wedge2(ch: GradedPoly) -> GradedPoly:
 # -- the projective sub-bundle P(E^v) over P --------------------------------
 
 
-class ZetaRing:
-    """Classes of zeta-degree below r on P(E^v) -> P, r being the rank of E.
-
-    Built from the character of E, which gives the ring of P and, as its
-    constant term, the rank; the ring must hold the degree-r relation, so
-    its truncation exceeds r.
-    """
-
-    __slots__ = ("ring", "rank")
-
-    def __init__(self, e_char: GradedPoly):
-        ring = e_char.ring
-        r = int(e_char.terms.get((0,) * len(ring.names), 0))
-        if r < 1:
-            raise ValueError("projectivized bundle needs positive rank")
-        if ring.truncation <= r:
-            raise ValueError(
-                f"truncation {ring.truncation} too small for a rank-{r} relation"
-            )
-        self.ring = ring
-        self.rank = r
-
-    def zero(self) -> "ZetaClass":
-        return ZetaClass(self, [])
-
-    def zeta_power(self, n: int) -> "ZetaClass":
-        """zeta^n for 0 <= n < r."""
-        return ZetaClass(self, [self.ring.zero()] * n + [self.ring.one()])
-
-
 class ZetaClass:
-    """Polynomial c_0 + c_1 zeta + ... + c_{r-1} zeta^{r-1}, padded to r
-    coefficients; a longer one would need the relation and is refused."""
+    """Polynomial c_0 + c_1 zeta + ... + c_{r-1} zeta^{r-1} on P(E^v) -> P,
+    held as its r fiber-ring coefficients; classes of different rank do not
+    add."""
 
-    __slots__ = ("zring", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, zring: ZetaRing, coeffs: Sequence[GradedPoly]):
-        r = zring.rank
-        if len(coeffs) > r:
-            raise ValueError(f"zeta-degree {len(coeffs) - 1} needs the rank-{r} relation")
-        self.zring = zring
-        self.coeffs = tuple(coeffs) + (zring.ring.zero(),) * (r - len(coeffs))
+    def __init__(self, coeffs: Sequence[GradedPoly]):
+        self.coeffs = tuple(coeffs)
 
     def __add__(self, other: "ZetaClass") -> "ZetaClass":
-        return ZetaClass(self.zring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return ZetaClass([a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)])
 
     def __mul__(self, other: Union[GradedPoly, Scalar]) -> "ZetaClass":
-        return ZetaClass(self.zring, [a * other for a in self.coeffs])
+        return ZetaClass([a * other for a in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -222,19 +185,15 @@ def push_gamma(c: ZetaClass) -> GradedPoly:
     return c.coeffs[-1]
 
 
-def zeta_twisted_ch(ch: GradedPoly, n: int, degree: int, zring: ZetaRing) -> ZetaClass:
+def zeta_twisted_ch(ch: GradedPoly, n: int, degree: int, rank: int) -> ZetaClass:
     """Degree-d character piece of (gamma^* b)(n zeta) on P(E^v), ``ch``
-    being the character of b.
+    being the character of b and ``rank`` > d that of E.
 
     ch_d(b(n zeta)) = sum_j ch_j(b) n^{d-j} zeta^{d-j} / (d-j)!.
     """
-    if ch.ring != zring.ring:
-        raise ValueError("character and zeta ring live over different bases")
-    acc = zring.zero()
+    coeffs = [ch.ring.zero()] * rank
     for j in range(degree + 1):
         scale = Fraction(n ** (degree - j), factorial(degree - j))
-        if scale == 0:
-            continue
-        term = zring.zeta_power(degree - j) * ch.degree_part(j) * scale
-        acc = acc + term
-    return acc
+        if scale != 0:
+            coeffs[degree - j] = ch.degree_part(j) * scale
+    return ZetaClass(coeffs)

@@ -134,6 +134,8 @@ def _cmd_splitting_codim(args: argparse.Namespace) -> Report:
     e, f = parse("--e", args.e), parse("--f", args.f)
     inputs = {"k": args.k, "e": e.text(), "f": f.text()}
     if args.k == 4:
+        if args.genus is not None:
+            raise ValueError("k = 4 takes no --genus")
         codim = splitting.codim_hurwitz4(e, f)
     else:
         if args.genus is None:

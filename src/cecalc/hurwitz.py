@@ -11,11 +11,14 @@ generate the ring where all the computations below take place.  The built
 in identities are a_1' = g+k-1 and c_1(F) = m c_1(E), that is
 det F = (det E)^m, with m = 1, 1, 2 for k = 3, 4, 5.  So one rule builds
 the ring and the Chern data of both bundles from the two ranks; for k = 3,
-F is the line bundle det E.  A symbolic genus is handled by a degree-0 generator ``g``,
-so kappa-class coefficients come out as polynomials in g.
+F is the line bundle det E.  A numeric genus must be at least 2; a symbolic
+genus is handled by a degree-0 generator ``g``, so kappa-class coefficients
+come out as polynomials in g.
 
 The universal curve class [C] in P(E^v) is assembled from character pieces
-of the resolution bundles, and the kappa classes are
+of F and of det E, the line bundle exp(c_1(E)), and held as its r = k - 1
+fiber-ring coefficients; the character of E itself is never built, and
+the kappa classes read only its Chern classes.  They are
 
     kappa_i = pi_* gamma_*([C] . (zeta - 2z)^{i+1}).
 
@@ -32,16 +35,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple, Optional, Union
 
-from .bundles import (
-    ZetaClass,
-    ZetaRing,
-    chern_from_parts,
-    det,
-    dual,
-    fiber_ring,
-    push_pi,
-    zeta_twisted_ch,
-)
+from .bundles import ZetaClass, chern_from_parts, dual, fiber_ring, push_pi, zeta_twisted_ch
 from .gring import GradedPoly, RingSpec
 
 SUPPORTED_DEGREES = (3, 4, 5)
@@ -115,8 +109,7 @@ def presentation(k: int, genus: int) -> tuple[tuple[tuple[str, int], ...], int]:
 
 class CESetup(NamedTuple):
     """A covering degree, its class ring, and the Chern classes of E and F
-    in the fiber ring over it, from which their characters are built on
-    demand."""
+    in the fiber ring over it; the character of F is built on demand."""
 
     degree: int
     genus: Optional[int]  # None means symbolic
@@ -125,12 +118,8 @@ class CESetup(NamedTuple):
     f_chern: tuple[GradedPoly, ...]  # c_i(F) = b_i + b_i' z
 
     @property
-    def e_char(self) -> GradedPoly:
-        return chern_from_parts(fiber_ring(self.ring), self.e_chern, len(self.e_chern))
-
-    @property
     def f_char(self) -> GradedPoly:
-        """The character of F; it equals det(E) when degree == 3."""
+        """The character of F; it is that of det E when degree == 3."""
         return chern_from_parts(fiber_ring(self.ring), self.f_chern, len(self.f_chern))
 
 
@@ -138,11 +127,13 @@ def ce_setup(k: int, genus: Optional[int] = None, truncation: int = 8) -> CESetu
     """Build the class ring and the Chern data of the universal bundles.
 
     ``genus=None`` adds a weight-0 generator ``g`` and keeps the genus
-    symbolic.  The truncation order bounds every computation downstream;
-    kappa_i needs truncation > i + k - 1.
+    symbolic; a given genus must be at least 2.  The truncation order
+    bounds every computation downstream; kappa_i needs truncation > i + k - 1.
     """
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"unsupported covering degree {k}")
+    if genus is not None and genus < 2:
+        raise ValueError(f"genus must be >= 2, got {genus}")
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
     ring = RingSpec(_generators(k) + ((("g", 0),) if genus is None else ()), truncation)
@@ -167,11 +158,17 @@ def curve_class(setup: CESetup) -> ZetaClass:
         k=3:  -ch_1(det E (-3))
         k=4:  -ch_2(F (-2)) + ch_2(det E (-4))
         k=5:  -ch_3(F (-2)) + ch_3((F^v . det E)(-3)) - ch_3(det E (-5))
+
+    The setup's truncation must exceed r = k-1, the degree of the relation
+    of P(E^v); det E is the line bundle exp(c_1(E)).
     """
     k = setup.degree
-    e_char, f_char = setup.e_char, setup.f_char
-    zring = ZetaRing(e_char)
-    det_e = det(e_char)
+    truncation = setup.ring.truncation
+    if truncation < k:
+        raise ValueError(f"truncation {truncation} too small for a rank-{k - 1} relation")
+    fiber = fiber_ring(setup.ring)
+    f_char = setup.f_char
+    det_e = chern_from_parts(fiber, setup.e_chern[:1], 1)
     if k == 3:
         terms = [(-1, det_e, -3)]
     elif k == 4:
@@ -179,9 +176,9 @@ def curve_class(setup: CESetup) -> ZetaClass:
     else:
         middle = dual(f_char) * det_e
         terms = [(-1, f_char, -2), (1, middle, -3), (-1, det_e, -5)]
-    acc = zring.zero()
+    acc = ZetaClass([fiber.zero()] * (k - 1))
     for sign, char, n in terms:
-        acc = acc + zeta_twisted_ch(char, n, k - 2, zring) * sign
+        acc = acc + zeta_twisted_ch(char, n, k - 2, k - 1) * sign
     return acc
 
 
@@ -248,7 +245,7 @@ def curve_class_value(k: int, genus: Union[int, None], truncation: int) -> ZetaC
 
     [C] has degree k-2 and the zeta relation needs truncation > k-1, so it
     is computed at truncation k for every T >= k and does not depend on T; a
-    smaller T raises the setup's or the zeta relation's own error.
+    smaller T raises the setup's or ``curve_class``'s own error.
     """
     return curve_class(ce_setup(k, genus, min(truncation, k)))
 

@@ -686,7 +686,7 @@ def _int_field(obj: object, key: str) -> int:
     value = _field(obj, key, _SCALAR)
     try:
         q = Fraction(str(value))  # str(True) is not a number, so bools fail here
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         q = None
     if q is None or q.denominator != 1:
         raise ValueError(f"spec: key {key!r} must be an integer, got {value!r}")
@@ -699,13 +699,22 @@ def _number(value: object, where: str) -> Fraction:
     if not isinstance(value, bool):
         try:
             return Fraction(str(value))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"spec: {where} must be a number, got {value!r}")
 
 
+def _known_keys(obj: object, keys: tuple[str, ...]) -> None:
+    """ValueError naming the first key of the object ``obj`` outside ``keys``."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in keys:
+            raise ValueError(f"spec: unknown key {key!r}")
+
+
 def program_from_json(data: dict) -> PLProgram:
-    """The program of a ``--spec-file`` document; ValueError if it is malformed."""
+    """The program of a ``--spec-file`` document; ValueError if it is
+    malformed or has a key the format does not define."""
+    _known_keys(data, ("vars", "eq", "le", "obj"))
     n = _int_field(data, "vars")
 
     def row(values: Sequence) -> tuple[list[Fraction], Fraction]:
@@ -715,7 +724,16 @@ def program_from_json(data: dict) -> PLProgram:
         nums = [_number(v, where) for v in values]
         return nums[:n], nums[n]
 
+    def hinge(h: object) -> tuple[int, list[Fraction], Fraction]:
+        _known_keys(h, ("sign", "coeffs", "rhs"))
+        return (
+            _int_field(h, "sign"),
+            [_number(v, "entry of key 'coeffs'") for v in _field(h, "coeffs", list)],
+            _number(_field(h, "rhs", _SCALAR), "key 'rhs'"),
+        )
+
     obj = _field(data, "obj", dict, {})
+    _known_keys(obj, ("lin", "const", "hinges"))
     return program(
         num_vars=n,
         equalities=[row(r) for r in _field(data, "eq", list, [])],
@@ -724,12 +742,5 @@ def program_from_json(data: dict) -> PLProgram:
             _number(v, "entry of key 'lin'") for v in _field(obj, "lin", list, [])
         ],
         objective_const=_number(obj.get("const", 0), "key 'const'"),
-        hinges=[
-            (
-                _int_field(h, "sign"),
-                [_number(v, "entry of key 'coeffs'") for v in _field(h, "coeffs", list)],
-                _number(_field(h, "rhs", _SCALAR), "key 'rhs'"),
-            )
-            for h in _field(obj, "hinges", list, [])
-        ],
+        hinges=[hinge(h) for h in _field(obj, "hinges", list, [])],
     )

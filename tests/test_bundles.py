@@ -6,10 +6,8 @@ from fractions import Fraction
 import pytest
 
 from cecalc.bundles import (
-    ZetaRing,
     adams,
     chern_from_parts,
-    det,
     dual,
     fiber_ring,
     o_z,
@@ -167,15 +165,6 @@ def test_tensor_with_trivial_line_is_identity():
     assert b * fiber_ring(ring).one() == b
 
 
-def test_det_of_rank2_keeps_first_chern_class():
-    ring = base_ring(extra=[("b1", 1), ("b1'", 0)])
-    c1 = join(ring.gen("b1"), ring.gen("b1'"))
-    b = chern_from_parts(fiber_ring(ring), [join(ring.gen("b1"), ring.gen("b1'"))], 2)
-    d = det(b)
-    assert d.degree_part(0) == d.ring.one()
-    assert d.degree_part(1) == c1
-
-
 def test_adams_on_line_bundles_and_composition():
     ring = fiber()
     assert adams(o_z(ring, 1), 2) == o_z(ring, 2)
@@ -237,10 +226,10 @@ def test_zeta_relation_annihilates():
 
 def test_push_gamma_basis_values():
     ring = quartic_like_ring()
-    zr = ZetaRing(rank3_bundle(ring))
-    assert split(push_gamma(zr.zeta_power(zr.rank - 1))) == (ring.one(), ring.zero())
-    for i in range(zr.rank - 1):
-        assert push_gamma(zr.zeta_power(i)).is_zero()
+    rel = ZetaRelation(rank3_bundle(ring))
+    assert split(push_gamma(rel.zeta_power(rel.rank - 1))) == (ring.one(), ring.zero())
+    for i in range(rel.rank - 1):
+        assert push_gamma(rel.zeta_power(i)).is_zero()
 
 
 def test_push_gamma_of_zeta_rank_for_rank2_dual():
@@ -264,24 +253,9 @@ def test_negative_powers_are_errors():
     assert rel.power(rel.zeta_power(1), 0) == rel.of_fiber(ring.one())
 
 
-def test_zeta_classes_stop_below_the_relation():
-    zr = ZetaRing(rank3_bundle(quartic_like_ring()))
-    assert zr.zeta_power(2).coeffs[2] == zr.ring.one()
-    with pytest.raises(ValueError, match="zeta-degree 3 needs the rank-3 relation"):
-        zr.zeta_power(3)
-
-
-def test_zeta_ring_requires_room_for_the_relation():
-    ring = RingSpec([("c2", 2), ("a1", 1)], 3)
-    e = chern_from_parts(fiber_ring(ring), [join(ring.gen("a1"), ring.const(1))], 3)
-    with pytest.raises(ValueError, match="truncation"):
-        ZetaRing(e)
-
-
 def test_zeta_twisted_ch_of_line_bundle_is_binomial():
     ring = quartic_like_ring()
-    e = rank3_bundle(ring)
-    zr = ZetaRing(e)
+    rel = ZetaRelation(rank3_bundle(ring))
     triv = fiber_ring(ring).one()
-    got = zeta_twisted_ch(triv, 2, 2, zr)  # ch_2(O(2 zeta)) = 2 zeta^2
-    assert got == zr.zeta_power(2) * 2
+    got = zeta_twisted_ch(triv, 2, 2, rel.rank)  # ch_2(O(2 zeta)) = 2 zeta^2
+    assert got == rel.zeta_power(2) * 2

@@ -228,6 +228,22 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
             {"vars": 1, "obj": {"hinges": [{"sign": 1, "coeffs": ["1"], "rhs": False}]}},
             "'rhs' must be a number, got False",
         ),
+        ({"vars": "1/0", "le": [["-1", "0"]]}, "'vars' must be an integer, got '1/0'"),
+        ({"vars": 1, "le": [["-1", "0"]], "obj": {"const": "1/0"}}, "'const' must be a number, got '1/0'"),
+        ({"vars": 1, "le": [["-1", "0"]], "objective": {}}, "unknown key 'objective'"),
+        (
+            # "hinges" misspelt: read as no hinges, this would print min = 0, not -4
+            {
+                "vars": 1,
+                "le": [["-1", "0"], ["1", "2"]],
+                "obj": {"lin": ["1"], "hinge": [{"sign": -1, "coeffs": ["3"], "rhs": "0"}]},
+            },
+            "unknown key 'hinge'",
+        ),
+        (
+            {"vars": 1, "obj": {"hinges": [{"sign": 1, "coeffs": ["1"], "rhs": "0", "scale": 2}]}},
+            "unknown key 'scale'",
+        ),
     ],
     ids=[
         "no_vars",
@@ -243,6 +259,11 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
         "text_hinge_coeff",
         "boolean_lin",
         "boolean_rhs",
+        "zero_denominator_vars",
+        "zero_denominator_const",
+        "unknown_program_key",
+        "unknown_objective_key",
+        "unknown_hinge_key",
     ],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, spec, key):
@@ -339,6 +360,31 @@ def test_genus_and_symbolic_together_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: give --genus G or --symbolic, not both\n"
+
+
+@pytest.mark.parametrize(
+    "argv,genus",
+    [
+        (["kappa", "-k", "3", "-i", "1"], "-5"),
+        (["curve-class", "-k", "3"], "0"),
+        (["kappa", "-k", "5", "-i", "0"], "1"),
+    ],
+    ids=["kappa", "curve-class", "kappa-genus-1"],
+)
+def test_genus_below_2_exits_2(capsys, argv, genus):
+    assert main([*argv, "--genus", genus]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: genus must be >= 2, got {genus}\n"
+
+
+def test_splitting_codim_k4_refuses_a_genus(capsys):
+    argv = ["splitting-codim", "-k", "4", "--e", "1,4,4", "--f", "2,7"]
+    assert main([*argv, "-g", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k = 4 takes no --genus\n"
+    assert run_cli(capsys, argv) == (0, "codim = 2\n")
 
 
 def test_splitting_codim_k4_prints_the_raw_formula_for_unequal_degrees(capsys):

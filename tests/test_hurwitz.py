@@ -2,7 +2,7 @@
 
 import pytest
 
-from cecalc.bundles import ZetaClass, ZetaRing, det, dual, fiber_text, push_gamma, split
+from cecalc.bundles import ZetaClass, dual, fiber_text, push_gamma, split
 from cecalc.hurwitz import (
     ce_rank,
     ce_setup,
@@ -12,7 +12,7 @@ from cecalc.hurwitz import (
     kappa_value,
     presentation,
 )
-from zeta_oracle import chern_of, kappa_reference, lift
+from zeta_oracle import chern_of, e_char, kappa_reference, lift
 
 
 # -- setup rings ---------------------------------------------------------------
@@ -42,18 +42,18 @@ def test_symbolic_setup_adds_weight_zero_genus():
 def test_setup_bakes_in_the_degree_identity():
     # a1' = g + k - 1, so ch_1(E) has z-part of that constant
     s = ce_setup(4, genus=9, truncation=5)
-    c1 = chern_of(s.e_char)[0]
+    c1 = chern_of(e_char(s))[0]
     assert split(c1) == (s.ring.gen("a1"), s.ring.const(12))
 
 
 def test_quartic_f_shares_first_chern_data_with_e():
     s = ce_setup(4, genus=6, truncation=5)
-    assert chern_of(s.f_char)[0] == chern_of(s.e_char)[0]  # b1 = a1, b1' = a1'
+    assert chern_of(s.f_char)[0] == chern_of(e_char(s))[0]  # b1 = a1, b1' = a1'
 
 
 def test_quintic_f_doubles_first_chern_data():
     s = ce_setup(5, genus=6, truncation=6)
-    assert chern_of(s.f_char)[0] == chern_of(s.e_char)[0] * 2  # b1 = 2 a1
+    assert chern_of(s.f_char)[0] == chern_of(e_char(s))[0] * 2  # b1 = 2 a1
 
 
 def test_setup_rejects_bad_degree_and_truncation():
@@ -68,19 +68,17 @@ def test_setup_rejects_bad_degree_and_truncation():
 
 def test_trigonal_curve_class_closed_form():
     s = ce_setup(3, genus=None, truncation=5)
-    zr = ZetaRing(s.e_char)
     got = curve_class(s)
-    c1e = chern_of(s.e_char)[0]
-    want = ZetaClass(zr, [-c1e, zr.ring.const(3)])  # 3 zeta - c1(E)
+    c1e = chern_of(e_char(s))[0]
+    want = ZetaClass([-c1e, c1e.ring.const(3)])  # 3 zeta - c1(E)
     assert got == want
 
 
 def test_quartic_curve_class_is_twisted_second_chern_class():
     # c2(F^v(2)) = c2(F^v) + 2 zeta c1(F^v) + 4 zeta^2
     s = ce_setup(4, genus=None, truncation=6)
-    zr = ZetaRing(s.e_char)
     fv = chern_of(dual(s.f_char))
-    want = ZetaClass(zr, [fv[1], fv[0] * 2, zr.ring.const(4)])
+    want = ZetaClass([fv[1], fv[0] * 2, fv[0].ring.const(4)])
     assert curve_class(s) == want
 
 
@@ -89,6 +87,18 @@ def test_curve_class_pushes_to_covering_degree(k):
     s = ce_setup(k, genus=None, truncation=k + 2)
     c = curve_class(s)
     assert split(push_gamma(c)) == (s.ring.const(k), s.ring.zero())
+
+
+@pytest.mark.parametrize("k", [3, 4, 5], ids=lambda k: f"k={k}")
+def test_curve_class_needs_room_for_the_relation(k):
+    # [C] has r = k - 1 zeta coefficients, and the rank-r relation of P(E^v)
+    # needs truncation > r
+    message = rf"truncation {k - 1} too small for a rank-{k - 1} relation"
+    with pytest.raises(ValueError, match=message):
+        curve_class(ce_setup(k, None, k - 1))
+    with pytest.raises(ValueError, match=message):
+        curve_class_value(k, 9, k - 1)
+    assert len(curve_class(ce_setup(k, None, k)).coeffs) == k - 1
 
 
 # -- kappa classes ---------------------------------------------------------------
@@ -135,7 +145,7 @@ def test_kappa_value_matches_the_full_ring(k, i):
     # and multiplies and reduces there.
     for truncation in (i + k + 2, i + k + 4):
         s = ce_setup(k, 23, truncation)
-        full = kappa_reference(curve_class(s), s.e_char, i)
+        full = kappa_reference(curve_class(s), e_char(s), i)
         assert kappa_value(k, i, 23, truncation) == full
 
 
@@ -143,7 +153,7 @@ def test_kappa_value_matches_the_full_ring(k, i):
 def test_symbolic_kappa_value_matches_the_full_ring(k, i):
     for truncation in (i + k + 2, i + k + 4):
         s = ce_setup(k, None, truncation)
-        full = kappa_reference(curve_class(s), s.e_char, i)
+        full = kappa_reference(curve_class(s), e_char(s), i)
         assert kappa_value(k, i, None, truncation) == full
 
 
@@ -154,9 +164,9 @@ def test_segre_kappa_matches_the_reduced_product(k, genus):
     # in the quotient ring, at the smallest truncation that holds kappa_i
     for i in range(7):
         s = ce_setup(k, genus, i + k)
-        e_char = s.e_char
-        c_class = lift(curve_class_value(k, genus, k), ZetaRing(e_char))
-        assert kappa(s, i).polynomial == kappa_reference(c_class, e_char, i)
+        e = e_char(s)
+        c_class = lift(curve_class_value(k, genus, k), e.ring)
+        assert kappa(s, i).polynomial == kappa_reference(c_class, e, i)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -254,7 +264,7 @@ def test_generators_follow_the_ranks_of_e_and_f(k):
     assert tuple(zip(ring.names, ring.degrees)) == GENERATOR_TABLE[k]
     if k == 3:  # F is the rank-1 bundle with c_1(E), that is det E
         s3 = ce_setup(3, 7, 5)
-        assert s3.f_char == det(s3.e_char)
+        assert chern_of(s3.f_char) == chern_of(e_char(s3))[:1]
 
 
 def test_presentation_validation():

@@ -4,8 +4,10 @@ zeta^{r-1} + ... + c_r(E^v)) of a projective sub-bundle P(E^v) -> P.
 The library holds only classes of zeta-degree below r and pushes powers of
 zeta forward in closed form, through the Segre classes of E^v.  This
 module keeps the route that closed form replaced, so the tests can check
-one against the other: the Chern classes of a character by inverse
-Newton, the reduction by the relation, and the reduced product and power.
+one against the other: the character of E off a setup's Chern classes,
+the Chern classes of a character by inverse Newton, the rank of E read
+off its character, the reduction by the relation, and the reduced product
+and power.
 ``join`` builds fiber-ring classes P + Q z by ring arithmetic, with c2
 read as -z^2, as the reference for ``split``; ``power`` is repeated
 multiplication in a ``gring`` ring.
@@ -14,8 +16,8 @@ multiplication in a ``gring`` ring.
 from fractions import Fraction
 from math import factorial
 
-from cecalc.bundles import ZetaClass, ZetaRing, dual, fiber_ring, push_gamma, push_pi
-from cecalc.gring import GradedPoly
+from cecalc.bundles import ZetaClass, chern_from_parts, dual, fiber_ring, push_gamma, push_pi
+from cecalc.gring import GradedPoly, RingSpec
 
 
 def power(x: GradedPoly, exponent: int) -> GradedPoly:
@@ -45,6 +47,11 @@ def join(p: GradedPoly, q: GradedPoly) -> GradedPoly:
     return lift(p) + lift(q) * z
 
 
+def e_char(setup) -> GradedPoly:
+    """The character of E off a ``hurwitz.CESetup``'s Chern classes."""
+    return chern_from_parts(fiber_ring(setup.ring), setup.e_chern, len(setup.e_chern))
+
+
 def chern_of(ch: GradedPoly) -> list[GradedPoly]:
     """Chern classes c_1, ..., c_min(rank, D-1) recovered from a character,
     the rank being its constant term.
@@ -67,12 +74,19 @@ def chern_of(ch: GradedPoly) -> list[GradedPoly]:
 
 class ZetaRelation:
     """The relation of P(E^v) -> P, its coefficients c_1(E^v), ..., c_r(E^v)
-    recovered from the character of E, and the reduced arithmetic it gives."""
+    recovered from the character of E, and the reduced arithmetic it gives.
+    The rank of E is the character's constant term, and the ring must hold
+    the degree-r relation, so its truncation exceeds r."""
 
     def __init__(self, e_char: GradedPoly):
-        self.zring = ZetaRing(e_char)
-        self.ring = e_char.ring
-        self.rank = self.zring.rank
+        ring = e_char.ring
+        r = int(e_char.terms.get((0,) * len(ring.names), 0))
+        if r < 1:
+            raise ValueError("projectivized bundle needs positive rank")
+        if ring.truncation <= r:
+            raise ValueError(f"truncation {ring.truncation} too small for a rank-{r} relation")
+        self.ring = ring
+        self.rank = r
         self.dual_chern = tuple(chern_of(dual(e_char)))
 
     def reduce(self, raw: list[GradedPoly]) -> ZetaClass:
@@ -87,13 +101,13 @@ class ZetaRelation:
             raw[m] = zero
             for i, ci in enumerate(self.dual_chern, start=1):
                 raw[m - i] = raw[m - i] - ci * head
-        return ZetaClass(self.zring, raw[:r])
+        return ZetaClass(raw[:r])
 
     def zeta_power(self, n: int) -> ZetaClass:
         return self.reduce([self.ring.zero()] * n + [self.ring.one()])
 
     def of_fiber(self, c: GradedPoly) -> ZetaClass:
-        return ZetaClass(self.zring, [c])
+        return ZetaClass([c] + [self.ring.zero()] * (self.rank - 1))
 
     def mul(self, x: ZetaClass, y: ZetaClass) -> ZetaClass:
         raw = [self.ring.zero()] * (2 * self.rank - 1)
@@ -111,14 +125,14 @@ class ZetaRelation:
         return result
 
 
-def lift(c: ZetaClass, zring: ZetaRing) -> ZetaClass:
-    """A class of a lower-truncation ring read in the ring of ``zring``."""
-    return ZetaClass(zring, [a.retruncate(zring.ring) for a in c.coeffs])
+def lift(c: ZetaClass, ring: RingSpec) -> ZetaClass:
+    """A class of a lower-truncation ring read in ``ring``."""
+    return ZetaClass([a.retruncate(ring) for a in c.coeffs])
 
 
 def kappa_reference(c_class: ZetaClass, e_char: GradedPoly, i: int) -> GradedPoly:
     """pi_* gamma_*([C] . (zeta - 2z)^{i+1}) by reduced products, [C] and E
     living over the same ring."""
     rel = ZetaRelation(e_char)
-    omega = ZetaClass(rel.zring, [rel.ring.gen("z") * -2, rel.ring.one()])
+    omega = rel.reduce([rel.ring.gen("z") * -2, rel.ring.one()])
     return push_pi(push_gamma(rel.mul(c_class, rel.power(omega, i + 1))))
