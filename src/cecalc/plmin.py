@@ -540,98 +540,76 @@ PRESET_NAMES = ("lemma_b4", "lemma_coh4", "lemma_b5circ", "lemma_coh5")
 
 
 def preset(name: str) -> PLProgram:
-    """The bundled degree-4/5 codimension minimization programs.
-
-    Variables are (x1, x2, x3, y1, y2) for the degree-4 instances and
-    (x1..x4, y1..y5) for the degree-5 ones; x sums to 1, y sums to 1
-    (degree 4) or 2 (degree 5), all coordinates ascending and nonnegative.
-    """
-    if name in ("lemma_b4", "lemma_coh4"):
-        shared = {
-            "num_vars": 5,
-            "equalities": [([1, 1, 1, 0, 0], 1), ([0, 0, 0, 1, 1], 1)],
-            "objective_linear": [-2, 0, 2, -1, 1],
-        }
-        ordered = [  # 0 <= x1 <= x2 <= x3 and 0 <= y1
-            ([-1, 0, 0, 0, 0], 0),
-            ([1, -1, 0, 0, 0], 0),
-            ([0, 1, -1, 0, 0], 0),
-            ([0, 0, 0, -1, 0], 0),
+    """The bundled degree-4/5 codimension minimization programs, built by
+    ``_blocks`` from the splitting-type blocks x = (x1, x2, x3), y = (y1, y2)
+    at degree 4 and x = (x1..x4), y = (y1..y5) at degree 5; each lemma adds
+    its own cuts and hinges."""
+    if name == "lemma_b4":
+        return _blocks(3, 2, 1, 2, [([2, 0, 0, 0, -1], 0)])  # 2 x1 <= y2
+    if name == "lemma_coh4":
+        # y1 <= 2 x1 <= y2 implies y1 <= y2, so that chain row is left out
+        cuts = [
+            ([-2, 0, 0, 1, 0], 0),   # y1 <= 2 x1
+            ([2, 0, 0, 0, -1], 0),   # 2 x1 <= y2
+            ([0, -2, 0, 0, 1], 0),   # y2 <= 2 x2
+            ([-1, 0, -1, 0, 1], 0),  # y2 <= x1 + x3
         ]
-        if name == "lemma_b4":
-            return program(
-                inequalities=ordered + [
-                    ([0, 0, 0, 1, -1], 0),   # y1 <= y2
-                    ([2, 0, 0, 0, -1], 0),   # 2 x1 <= y2
-                ],
-                **shared,
-            )
-        return program(
-            inequalities=ordered + [
-                ([-2, 0, 0, 1, 0], 0),   # y1 <= 2 x1
-                ([2, 0, 0, 0, -1], 0),   # 2 x1 <= y2
-                ([0, -2, 0, 0, 1], 0),   # y2 <= 2 x2
-                ([-1, 0, -1, 0, 1], 0),  # y2 <= x1 + x3
-            ],
-            hinges=[
-                (-1, [-2, 0, 0, 0, 1], 0),   # -max(0, y2 - 2 x1)
-                (-1, [-1, -1, 0, 0, 1], 0),  # -max(0, y2 - x1 - x2)
-            ],
-            **shared,
-        )
-    if name in ("lemma_b5circ", "lemma_coh5"):
-        shared = {
-            "num_vars": 9,
-            "equalities": [
-                ([1, 1, 1, 1, 0, 0, 0, 0, 0], 1),
-                ([0, 0, 0, 0, 1, 1, 1, 1, 1], 2),
-            ],
-            "objective_linear": [-3, -1, 1, 3, -4, -2, 0, 2, 4],
-        }
-        rows = _ordered_simplex_rows() + [
-            ([1, 0, 0, 0, 1, 1, 0, 0, 0], 1),  # x1 + y1 + y2 <= 1
-        ]
-        if name == "lemma_b5circ":
-            return program(inequalities=rows, **shared)
-        hinges = []
-        groups = [((0, 1), 4), ((0, 2), 3), ((0, 3), 2), ((1, 2), 2)]
-        for (j, k), count in groups:
-            for i in range(count):
-                coeffs = [0] * 9
-                coeffs[i] = -1
-                coeffs[4 + j] -= 1
-                coeffs[4 + k] -= 1
-                hinges.append((-1, coeffs, -1))  # -max(0, 1 - y_j - y_k - x_i)
-        return program(
-            inequalities=rows + [
-                ([0, 0, 0, -1, -1, 0, -1, 0, 0], -1),  # y1 + y3 + x4 >= 1
-                ([0, 0, -1, 0, -1, 0, 0, -1, 0], -1),  # y1 + y4 + x3 >= 1
-                ([0, 0, -1, 0, 0, -1, -1, 0, 0], -1),  # y2 + y3 + x3 >= 1
-            ],
-            hinges=hinges,
-            **shared,
-        )
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+        return _blocks(3, 2, 1, 1, cuts, [
+            (-1, [-2, 0, 0, 0, 1], 0),   # -max(0, y2 - 2 x1)
+            (-1, [-1, -1, 0, 0, 1], 0),  # -max(0, y2 - x1 - x2)
+        ])
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    rows = [([1, 0, 0, 0, 1, 1, 0, 0, 0], 1)]  # x1 + y1 + y2 <= 1
+    if name == "lemma_b5circ":
+        return _blocks(4, 5, 2, 5, rows)
+    hinges = []
+    groups = [((0, 1), 4), ((0, 2), 3), ((0, 3), 2), ((1, 2), 2)]
+    for (j, k), count in groups:
+        for i in range(count):
+            coeffs = [0] * 9
+            coeffs[i] = -1
+            coeffs[4 + j] -= 1
+            coeffs[4 + k] -= 1
+            hinges.append((-1, coeffs, -1))  # -max(0, 1 - y_j - y_k - x_i)
+    return _blocks(4, 5, 2, 5, rows + [
+        ([0, 0, 0, -1, -1, 0, -1, 0, 0], -1),  # y1 + y3 + x4 >= 1
+        ([0, 0, -1, 0, -1, 0, 0, -1, 0], -1),  # y1 + y4 + x3 >= 1
+        ([0, 0, -1, 0, 0, -1, -1, 0, 0], -1),  # y2 + y3 + x3 >= 1
+    ], hinges)
 
 
-def _ordered_simplex_rows() -> list[tuple[list[int], int]]:
-    """0 <= x1 <= ... <= x4 and 0 <= y1 <= ... <= y5 in nine variables."""
-    rows: list[tuple[list[int], int]] = []
-    first_x = [0] * 9
-    first_x[0] = -1
-    rows.append((first_x, 0))
-    for i in range(3):
-        row = [0] * 9
-        row[i], row[i + 1] = 1, -1
-        rows.append((row, 0))
-    first_y = [0] * 9
-    first_y[4] = -1
-    rows.append((first_y, 0))
-    for i in range(4, 8):
-        row = [0] * 9
-        row[i], row[i + 1] = 1, -1
+def _ascending(n: int, first: int, count: int) -> list[tuple[list[int], int]]:
+    """The rows 0 <= v_first <= ... <= v_{first+count-1} in n variables."""
+    rows = []
+    for i in range(first, first + count):
+        row = [0] * n
+        row[i] = -1
+        if i > first:
+            row[i - 1] = 1
         rows.append((row, 0))
     return rows
+
+
+def _blocks(a: int, b: int, y_total: int, y_chain: int, rows: list, hinges=()) -> PLProgram:
+    """A program in x = (x1..xa), y = (y1..yb): x sums to 1 and y to
+    ``y_total``; 0 <= x1 <= ... <= xa and the first ``y_chain`` rows of
+    0 <= y1 <= ... <= yb, then ``rows``, and ``hinges``.
+
+    The objective is the leading term of h1(End e) + h1(End f) in
+    x = e/(g+k-1), y = f/(g+k-1): for ascending e, h1(End e) is the sum
+    over i < j of max(0, e_j - e_i - 1), whose leading term
+    sum_{i<j} (x_j - x_i) weighs x_i by (i - 1) - (a - i) = 2i - a - 1.
+    """
+    n = a + b
+    return program(
+        n,
+        equalities=[([1] * a + [0] * b, 1), ([0] * a + [1] * b, y_total)],
+        inequalities=_ascending(n, 0, a) + _ascending(n, a, y_chain) + rows,
+        objective_linear=[2 * i - a - 1 for i in range(1, a + 1)]
+        + [2 * j - b - 1 for j in range(1, b + 1)],
+        hinges=hinges,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -681,27 +659,30 @@ def _field(obj: object, key: str, kind, default=None):
     return obj[key]
 
 
+# Largest exponent of a spec number, in absolute value, as Python's limit of
+# 4 300 digits for an integer string; building 1e10000000 takes seconds.
+_MAX_EXPONENT = 4300
+
+
+def _number(value: object, where: str, kind: str = "a number") -> Fraction:
+    """A spec number: a JSON number or a numeric string, not a bool, with an
+    exponent of at most ``_MAX_EXPONENT`` and integral if ``kind`` is
+    "an integer"; ValueError naming ``where`` otherwise."""
+    text = str(value)
+    try:
+        exponent = int(text.lower().partition("e")[2] or 0)
+        if not isinstance(value, bool) and abs(exponent) <= _MAX_EXPONENT:
+            q = Fraction(text)
+            if kind == "a number" or q.denominator == 1:
+                return q
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"spec: {where} must be {kind}, got {value!r}")
+
+
 def _int_field(obj: object, key: str) -> int:
     """``obj[key]`` as an int: an integral number or numeric string, not a bool."""
-    value = _field(obj, key, _SCALAR)
-    try:
-        q = Fraction(str(value))  # str(True) is not a number, so bools fail here
-    except (ValueError, ZeroDivisionError):
-        q = None
-    if q is None or q.denominator != 1:
-        raise ValueError(f"spec: key {key!r} must be an integer, got {value!r}")
-    return int(q)
-
-
-def _number(value: object, where: str) -> Fraction:
-    """A spec number: a JSON number or a numeric string, not a bool;
-    ValueError naming ``where`` otherwise."""
-    if not isinstance(value, bool):
-        try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"spec: {where} must be a number, got {value!r}")
+    return int(_number(_field(obj, key, _SCALAR), f"key {key!r}", "an integer"))
 
 
 def _known_keys(obj: object, keys: tuple[str, ...]) -> None:

@@ -129,6 +129,8 @@ def codim_hurwitz4(e: TypeLike, f: TypeLike) -> int:
 
 def codim_hurwitz5(e: TypeLike, f: TypeLike, genus: int) -> int:
     """Codimension of the (e, f) stratum for degree-5 covers of genus g."""
+    if genus < 2:
+        raise ValueError(f"genus must be >= 2, got {genus}")
     e, f = _pair(e, f, (4, 5))
     if sum(e) != genus + 4 or sum(f) != 2 * genus + 8:
         raise ValueError(

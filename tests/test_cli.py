@@ -138,6 +138,17 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["kappa", "-k", "3", "-i", "0"]) == 2  # neither genus nor symbolic
     capsys.readouterr()
+    for argv, text in [
+        (["minimize"], "provide exactly one of --preset or --spec-file"),
+        (
+            ["minimize", "--preset", "lemma_b4", "--spec-file", "spec.json"],
+            "provide exactly one of --preset or --spec-file",
+        ),
+        (["splitting-codim", "-k", "5", "--e", "2,4,4,5", "--f", "5,6,6,6,7"], "k = 5 needs --genus"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {text}\n")
 
 
 @pytest.mark.parametrize(
@@ -244,6 +255,17 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
             {"vars": 1, "obj": {"hinges": [{"sign": 1, "coeffs": ["1"], "rhs": "0", "scale": 2}]}},
             "unknown key 'scale'",
         ),
+        ({"vars": 0, "le": [["0"]]}, "need at least one variable, got 0"),
+        (
+            {"vars": 1, "le": [["-1", "0"]], "obj": {"hinges": [{"sign": 2, "coeffs": ["1"], "rhs": "0"}]}},
+            "hinge sign must be +1 or -1, got 2",
+        ),
+        # far beyond Python's 4 300-digit limit: refused before any integer is built
+        (
+            {"vars": 1, "le": [["-1", "0"], ["1", "1e10000000"]]},
+            "constraint row ['1', '1e10000000'] must be a number, got '1e10000000'",
+        ),
+        ({"vars": "1e10000000", "le": [["-1", "0"]]}, "'vars' must be an integer, got '1e10000000'"),
     ],
     ids=[
         "no_vars",
@@ -264,12 +286,18 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
         "unknown_program_key",
         "unknown_objective_key",
         "unknown_hinge_key",
+        "no_variables",
+        "hinge_sign_2",
+        "huge_exponent_row_entry",
+        "huge_exponent_vars",
     ],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, spec, key):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(spec))
+    start = time.perf_counter()
     assert main(["minimize", "--spec-file", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
 
@@ -368,8 +396,9 @@ def test_genus_and_symbolic_together_exit_2(capsys, argv):
         (["kappa", "-k", "3", "-i", "1"], "-5"),
         (["curve-class", "-k", "3"], "0"),
         (["kappa", "-k", "5", "-i", "0"], "1"),
+        (["splitting-codim", "-k", "5", "--e", "0,0,0,3", "--f", "0,0,0,0,6"], "-1"),
     ],
-    ids=["kappa", "curve-class", "kappa-genus-1"],
+    ids=["kappa", "curve-class", "kappa-genus-1", "splitting-codim-k5"],
 )
 def test_genus_below_2_exits_2(capsys, argv, genus):
     assert main([*argv, "--genus", genus]) == 2

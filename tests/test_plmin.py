@@ -383,7 +383,9 @@ def test_json_round_trip():
     assert program_from_json(data) == p
 
 
-@pytest.mark.parametrize("spelling", [2, "2", 2.0], ids=["int", "string", "float"])
+@pytest.mark.parametrize(
+    "spelling", [2, "2", 2.0, "2e0", "200e-2"], ids=["int", "string", "float", "exponent", "negative_exponent"]
+)
 def test_json_numbers_parse_in_any_spelling(spelling):
     p = program_from_json({"vars": 1, "le": [["-1", spelling]], "obj": {"lin": [1.5], "const": "3/2"}})
     assert p.inequalities == (((Fraction(-1),), Fraction(2)),)

@@ -169,6 +169,8 @@ def test_codim_quintic_balanced_types_are_generic():
 def test_codim_quintic_validates_degrees():
     with pytest.raises(ValueError, match="degrees"):
         codim_hurwitz5([1, 4, 4, 4], [5, 5, 6, 6, 6], 9)  # degree mismatch at g=9
+    with pytest.raises(ValueError, match="genus must be >= 2, got -1"):
+        codim_hurwitz5([0, 0, 0, 3], [0, 0, 0, 0, 6], -1)  # degrees match g = -1
 
 
 # -- constraint predicates ----------------------------------------------------------
