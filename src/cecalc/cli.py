@@ -158,6 +158,8 @@ def _cmd_minimize(args: argparse.Namespace) -> Report:
         with open(args.spec_file) as fh:
             prog = plmin.program_from_json(json.load(fh))
     solution = plmin.solve(prog)
+    plmin.check_digits("the minimum", solution.min_value)
+    plmin.check_digits("an argmin coordinate", *(v for pt in solution.argmin_points for v in pt))
     output = {
         "min": str(solution.min_value),
         "argmin": [[str(v) for v in pt] for pt in solution.argmin_points],

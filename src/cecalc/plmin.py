@@ -14,17 +14,22 @@ a vertex of that intersection: a point where m independent boundary or
   2. certifies boundedness, in integers, by checking that the recession
      cone of the projected inequalities is trivial: the normals must span,
      and no null line of m - 1 independent normals may be a recession ray;
-  3. walks the m-subsets of the projected boundary hyperplanes and +1
-     breakpoint hyperplanes (the -1 breakpoints need no vertices of their
-     own), keeps the feasible intersection points and evaluates the
-     objective at each as an integer numerator over a known denominator.
+  3. groups the projected boundary hyperplanes and +1 breakpoint
+     hyperplanes (the -1 breakpoints need no vertices of their own) by the
+     direction of their normals, walks the independent m-subsets of
+     directions, and takes one plane per direction in every way: each
+     choice is one intersection point.  It keeps the feasible points and
+     evaluates the objective at each as an integer numerator over a known
+     denominator.
 
 The only linear algebra is one step: extending an integer Gauss-Jordan
 basis by a row.  It eliminates the equalities, checks that the normals
 span and puts each plane in normal form, as its one-row basis.  Steps 2
 and 3 share one depth-first walk over subsets, which extends the basis one
-plane at a time, reads each null line or vertex off it, and skips every
-completion of a dependent prefix without visiting it.
+row at a time (a normal, or a direction), reads each null line or family
+of vertices off it, and skips every completion of a dependent prefix
+without visiting it.  Parallel planes never meet, so a subset of planes
+with two in one direction is singular and is never formed.
 
 Programs whose subset counts exceed ``MAX_SUBSETS`` are refused with
 ValueError before any enumeration starts.
@@ -46,8 +51,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, gcd, lcm
 from numbers import Real
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -56,6 +63,24 @@ Vector = tuple[Fraction, ...]
 # Largest number of subsets the boundedness check or the vertex enumeration
 # may visit; larger programs would run for hours, so they are refused.
 MAX_SUBSETS = 10**6
+
+# Python's limit on the digits of an integer it converts to or from text.  A
+# spec number's exponent may be at most this, in absolute value (building
+# 1e10000000 takes seconds), and a number that is printed must fit it.
+MAX_DIGITS = 4300
+_DIGITS_CAP = 10**MAX_DIGITS
+
+
+def _fits(*values: Scalar) -> bool:
+    """Whether every numerator and denominator of ``values`` has at most
+    MAX_DIGITS digits, so that Python can print it."""
+    return all(max(abs(q.numerator), q.denominator) < _DIGITS_CAP for q in map(Fraction, values))
+
+
+def check_digits(what: str, *values: Scalar) -> None:
+    """ValueError naming ``what`` and the limit unless ``values`` fit MAX_DIGITS."""
+    if not _fits(*values):
+        raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
 
 
 class PLError(Exception):
@@ -109,6 +134,7 @@ def program(
     default objective or anything else of size n is built.
     """
     if num_vars < 1:
+        check_digits("the number of variables", num_vars)
         raise ValueError(f"need at least one variable, got {num_vars}")
     eqs = tuple((_vec(a, num_vars, "equality"), Fraction(b)) for a, b in equalities)
     les = tuple((_vec(a, num_vars, "inequality"), Fraction(b)) for a, b in inequalities)
@@ -116,6 +142,7 @@ def program(
     hs = []
     for sign, coeffs, rhs in hinges:
         if sign not in (1, -1):
+            check_digits("a hinge sign", sign)
             raise ValueError(f"hinge sign must be +1 or -1, got {sign}")
         hs.append(Hinge(sign, _vec(coeffs, num_vars, "hinge"), Fraction(rhs)))
     const = Fraction(objective_const)
@@ -149,7 +176,7 @@ class PLSolution(NamedTuple):
 
 
 def _dot(a: Sequence[Scalar], x: Sequence[Scalar]) -> Scalar:
-    return sum(ai * xi for ai, xi in zip(a, x))
+    return sum(map(mul, a, x))
 
 
 def objective_value(p: PLProgram, x: Sequence[Scalar]) -> Fraction:
@@ -287,8 +314,9 @@ def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
         g = gcd(*vec)
         d = tuple(-v // g for v in vec)
         for ray in (d, tuple(-v for v in d)):
-            if all(sum(wi * di for wi, di in zip(w, ray)) <= 0 for w in rows):
-                raise UnboundedError(f"recession ray {ray} detected")
+            if all(_dot(w, ray) <= 0 for w in rows):
+                shown = ray if _fits(*ray) else f"with an entry of more than {MAX_DIGITS} digits"
+                raise UnboundedError(f"recession ray {shown} detected")
 
 
 # -- the integer core shared by the solver and the sampler --------------------
@@ -419,6 +447,36 @@ def _lift(r: _Region, tn: Sequence[int], q: int) -> Vector:
 # -- the solver ---------------------------------------------------------------
 
 
+def _directions(
+    planes: list[tuple[int, ...]], m: int
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The walk rows of the planes grouped by direction, and each group's offsets.
+
+    Planes (*w, c) whose normals w share a primitive direction d are
+    parallel: (2, 4 | 1) and (1, 2 | 3) both have d = (1, 2).  A direction
+    met by one plane keeps that plane's row, padded with zeros.  A direction
+    met by several has the row (l d, 0, e_k) with a unit vector e_k in a
+    column of its own beyond the rhs, l being the lcm of their gcd(w), and
+    its plane (g d, c) becomes the offset s = c l / g of (l d) . t = s.  So
+    with every direction distinct the rows are the planes, at width m + 1.
+    ``offsets[k]`` are the offsets of the k-th direction with a unit column.
+    """
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for plane in planes:
+        g = gcd(*plane[:m])
+        groups.setdefault(tuple(v // g for v in plane[:m]), []).append(plane)
+    shared = [(d, group) for d, group in groups.items() if len(group) > 1]
+    pad = (0,) * len(shared)
+    rows = [group[0] + pad for group in groups.values() if len(group) == 1]
+    offsets = []
+    for k, (d, group) in enumerate(shared):
+        gs = [gcd(*plane[:m]) for plane in group]
+        scale = lcm(*gs)
+        rows.append((*(scale * v for v in d), 0, *pad[:k], 1, *pad[k + 1:]))
+        offsets.append([plane[m] * (scale // g) for plane, g in zip(group, gs)])
+    return rows, offsets
+
+
 def solve(p: PLProgram) -> PLSolution:
     """Exact global minimum of the hinge objective over the feasible region.
 
@@ -429,13 +487,19 @@ def solve(p: PLProgram) -> PLSolution:
     cannot move the minimum.  ``argmin_points`` are the minimising vertices
     of that reduced arrangement, each also a vertex of the full one.
 
-    The m-subsets of planes are walked depth-first, each prefix kept as an
-    integer Gauss-Jordan basis; a prefix whose planes are dependent is
-    dropped with all its completions, which are counted as singular.  Each
-    independent subset gives its vertex as integers t = tn / q, q being the
-    lcm of the pivots; feasibility and the objective are evaluated on those
-    integers, and only the minimising vertices are lifted to Fraction
-    points x.  A region that is one point (m = 0) is the single empty subset.
+    Parallel planes never meet, so the planes are grouped by the primitive
+    direction of their normals and the walk is over m-subsets of directions
+    (see ``_directions``), depth-first, each prefix kept as an integer
+    Gauss-Jordan basis; a prefix whose directions are dependent is dropped
+    with all its completions.  An independent subset of directions is
+    solved once, each unit column giving the vertex's dependence on its
+    direction's offset, and then each choice of one plane per direction is
+    one vertex, as integers t = tn / q, q being the lcm of the pivots.  So
+    the non-singular m-subsets of planes are exactly these choices, and the
+    rest of the C(planes, m) are counted as singular.  Feasibility and the
+    objective are evaluated on the integers, and only the minimising
+    vertices are lifted to Fraction points x.  A region that is one point
+    (m = 0) is the single empty subset.
 
     Raises InfeasibleError when the region is empty and UnboundedError when
     it is unbounded.  Boundedness is a property of the recession cone of
@@ -447,22 +511,31 @@ def solve(p: PLProgram) -> PLSolution:
     """
     r = _region(p)
     m = len(r.free)
+    rows, offsets = _directions(r.planes, m)
     best: Optional[tuple[int, int]] = None  # (numerator, q) of the least value so far
     argmins: dict[tuple[tuple[int, ...], int], None] = {}
     vertices = infeasible = 0
-    for basis in _independent_subsets(r.planes, m, m):
-        vertices += 1
-        tn, q = _solved(basis, m, m)
-        if any(_dot(w, tn) > c * q for w, c in r.ineq):
-            infeasible += 1
-            continue
-        g = gcd(q, *tn)
-        q, tn = q // g, tuple(v // g for v in tn)
-        num = _numerator(r, tn, q)
-        if best is None or num * best[1] < best[0] * q:
-            best, argmins = (num, q), {}
-        if num * best[1] == best[0] * q:
-            argmins[tn, q] = None
+    for basis in _independent_subsets(rows, m, m):
+        base, q = _solved(basis, m, m)
+        # the multiples s v of each subset direction's unit column, one per plane
+        choices = []
+        for k, offs in enumerate(offsets):
+            v = _solved(basis, m + 1 + k, m)[0]
+            if any(v):
+                choices.append([[s * x for x in v] for s in offs])
+        for pick in product(*choices):
+            vertices += 1
+            tn = list(map(sum, zip(base, *pick)))
+            if any(_dot(w, tn) > c * q for w, c in r.ineq):
+                infeasible += 1
+                continue
+            g = gcd(q, *tn)
+            qg, tn = q // g, tuple(v // g for v in tn)
+            num = _numerator(r, tn, qg)
+            if best is None or num * best[1] < best[0] * qg:
+                best, argmins = (num, qg), {}
+            if num * best[1] == best[0] * qg:
+                argmins[tn, qg] = None
     if best is None:
         raise InfeasibleError("no intersection point satisfies all constraints")
     subsets = comb(len(r.planes), m)
@@ -659,19 +732,14 @@ def _field(obj: object, key: str, kind, default=None):
     return obj[key]
 
 
-# Largest exponent of a spec number, in absolute value, as Python's limit of
-# 4 300 digits for an integer string; building 1e10000000 takes seconds.
-_MAX_EXPONENT = 4300
-
-
 def _number(value: object, where: str, kind: str = "a number") -> Fraction:
     """A spec number: a JSON number or a numeric string, not a bool, with an
-    exponent of at most ``_MAX_EXPONENT`` and integral if ``kind`` is
+    exponent of at most ``MAX_DIGITS`` and integral if ``kind`` is
     "an integer"; ValueError naming ``where`` otherwise."""
     text = str(value)
     try:
         exponent = int(text.lower().partition("e")[2] or 0)
-        if not isinstance(value, bool) and abs(exponent) <= _MAX_EXPONENT:
+        if not isinstance(value, bool) and abs(exponent) <= MAX_DIGITS:
             q = Fraction(text)
             if kind == "a number" or q.denominator == 1:
                 return q
@@ -700,6 +768,7 @@ def program_from_json(data: dict) -> PLProgram:
 
     def row(values: Sequence) -> tuple[list[Fraction], Fraction]:
         if not isinstance(values, list) or len(values) != n + 1:
+            check_digits("spec: the row length vars + 1", n + 1)
             raise ValueError(f"spec: constraint row {values!r} needs {n + 1} entries")
         where = f"entry of constraint row {values!r}"
         nums = [_number(v, where) for v in values]

@@ -266,6 +266,32 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
             "constraint row ['1', '1e10000000'] must be a number, got '1e10000000'",
         ),
         ({"vars": "1e10000000", "le": [["-1", "0"]]}, "'vars' must be an integer, got '1e10000000'"),
+        # within the exponent limit, but past Python's 4 300 digits once printed
+        (
+            {"vars": 1, "le": [["1", "0"], ["-1", "1e4300"]], "obj": {"lin": ["1"]}},
+            "error: the minimum has more than 4300 digits",
+        ),
+        (
+            {"vars": 1, "le": [["-1", "1e3000"], ["1", "0"]], "obj": {"lin": ["1e3000"]}},
+            "error: the minimum has more than 4300 digits",
+        ),
+        (
+            {"vars": 1, "le": [["-1", "1e4300"], ["1", "0"]], "obj": {"lin": ["1e-4300"]}},
+            "error: an argmin coordinate has more than 4300 digits",
+        ),
+        (
+            {"vars": "1e4300", "le": [["-1", "0"]]},
+            "error: spec: the row length vars + 1 has more than 4300 digits",
+        ),
+        (
+            {
+                "vars": 1,
+                "le": [["-1", "0"]],
+                "obj": {"hinges": [{"sign": "1e4300", "coeffs": ["1"], "rhs": "0"}]},
+            },
+            "error: a hinge sign has more than 4300 digits",
+        ),
+        ({"vars": "-1e4300"}, "error: the number of variables has more than 4300 digits"),
     ],
     ids=[
         "no_vars",
@@ -290,6 +316,12 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
         "hinge_sign_2",
         "huge_exponent_row_entry",
         "huge_exponent_vars",
+        "minimum_past_the_digit_limit",
+        "product_past_the_digit_limit",
+        "argmin_past_the_digit_limit",
+        "row_length_past_the_digit_limit",
+        "hinge_sign_past_the_digit_limit",
+        "variable_count_past_the_digit_limit",
     ],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, spec, key):
@@ -308,6 +340,16 @@ def test_unbounded_program_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main(["minimize", "--spec-file", str(path)]) == 3
     capsys.readouterr()
+
+
+def test_recession_ray_past_the_digit_limit_exits_3(tmp_path, capsys):
+    # y >= 10^4300 x and x >= 0 hold along the ray (1, 10^4300)
+    spec = {"vars": 2, "le": [["1e4300", "-1", "0"], ["-1", "0", "0"]]}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["minimize", "--spec-file", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: recession ray with an entry of more than 4300 digits detected\n"
 
 
 def test_oversized_program_exits_2_fast(tmp_path, capsys):

@@ -852,6 +852,86 @@ def test_pruned_walk_counts_and_rays_match_a_recount():
     assert singular > 0 and unbounded > 0
 
 
+# -- the direction walk against a recount ---------------------------------------------
+
+
+def _parallel_program(rng, n):
+    """A box in n variables whose planes lie in few normal directions.
+
+    Each coordinate direction holds the box's two sides and a +1 breakpoint
+    of e_i, 2 e_i or 3 e_i; each random form f (two at most, one at n = 4,
+    to keep the recount short) holds a cut by f, a cut by 2 f and hinges
+    of f, 2 f and 3 f, most of sign +1.  So most directions hold three or
+    more planes, normals such as (1, 2) and (2, 4) are parallel, and both
+    cuts keep the origin feasible.
+    """
+    rows, hinges = [], []
+    for i in range(n):
+        e = [int(j == i) for j in range(n)]
+        hi = rng.randint(2, 4)
+        s = rng.randint(1, 3)
+        rows += [([-v for v in e], 0), (e, hi)]
+        hinges.append((1, [s * v for v in e], rng.randint(1, s * hi - 1)))
+    for _ in range(rng.randint(1, 2) if n < 4 else 1):
+        f = [rng.randint(-2, 2) for _ in range(n)]
+        rows += [(f, rng.randint(0, 3)), ([2 * v for v in f], rng.randint(0, 7))]
+        for s in (1, 2, 3):
+            hinges.append((rng.choice([1, 1, -1]), [s * v for v in f], rng.randint(-2, 2 * s)))
+    return program(
+        num_vars=n,
+        inequalities=rows,
+        objective_linear=[rng.randint(-3, 3) for _ in range(n)],
+        hinges=hinges,
+    )
+
+
+def _reduced_minimum(p):
+    """(min, argmins) over the feasible vertices of the boundary and +1
+    breakpoint planes, each n-subset solved by Cramer's rule.  Integer
+    coefficients only."""
+    n = p.num_vars
+    rows = [([int(v) for v in a], int(b)) for a, b in p.inequalities]
+    lines = rows + [([int(v) for v in h.coeffs], int(h.rhs)) for h in p.hinges if h.sign > 0]
+    values = {}
+    for subset in combinations([(a, b) for a, b in lines if any(a)], n):
+        den = _det([a for a, _ in subset])
+        if den == 0:
+            continue
+        x = tuple(Fraction(_det([a[:j] + [b] + a[j + 1 :] for a, b in subset]), den) for j in range(n))
+        if all(sum(a_i * x_i for a_i, x_i in zip(a, x)) <= b for a, b in rows):
+            values[x] = objective_value(p, x)
+    low = min(values.values())
+    return low, tuple(sorted(x for x, v in values.items() if v == low))
+
+
+def test_direction_walk_matches_a_recount_over_plane_subsets():
+    """Solving parallel planes together keeps the minimum, the argmins and
+    every count of a walk over all m-subsets of planes."""
+    rng = random.Random(20261022)
+    # the three-simplex with a +1 breakpoint: every plane has its own direction
+    distinct = program(
+        num_vars=3,
+        inequalities=[([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0), ([1, 1, 1], 1)],
+        objective_linear=[1, -2, 1],
+        hinges=[(1, [1, 2, 3], 1)],
+    )
+    # m = 1: every plane is parallel to every other
+    line = program(
+        num_vars=1,
+        inequalities=[([-1], 0), ([2], 7), ([-3], 1)],
+        objective_linear=[-1],
+        hinges=[(1, [2], 3), (1, [3], 2), (1, [4], 6), (-1, [1], 1)],
+    )
+    singular = 0
+    for p in [distinct, line] + [_parallel_program(rng, n) for n in [1, 2, 3, 4] * 5]:
+        sol = solve(p)
+        counts = _recount(p)
+        assert sol[2:] == counts
+        assert (sol.min_value, sol.argmin_points) == _reduced_minimum(p)
+        singular += counts[2]
+    assert singular > 0
+
+
 def test_pinned_edge_counts():
     # m = 0: the equalities pin the point, the one empty subset is its vertex
     # and the +1 breakpoint is constant on the subspace, so it adds no plane
