@@ -155,8 +155,13 @@ def _cmd_minimize(args: argparse.Namespace) -> Report:
     else:
         import json
 
+        def integer(text: str) -> int:
+            if len(text.lstrip("-")) > plmin.MAX_DIGITS:
+                raise ValueError(f"spec: an integer literal has more than {plmin.MAX_DIGITS} digits")
+            return int(text)
+
         with open(args.spec_file) as fh:
-            prog = plmin.program_from_json(json.load(fh))
+            prog = plmin.program_from_json(json.load(fh, parse_int=integer))
     solution = plmin.solve(prog)
     plmin.check_digits("the minimum", solution.min_value)
     plmin.check_digits("an argmin coordinate", *(v for pt in solution.argmin_points for v in pt))
@@ -206,12 +211,28 @@ def _cmd_ce_rank(args: argparse.Namespace) -> Report:
 # -- parser ----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = (
+    "kappa", "curve-class", "strata", "splitting-codim",
+    "minimize", "bound", "presentation", "ce-rank",
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    A launch names its command first, so ``main`` builds only that one
+    subparser.  Its metavar lists every command, so that the usage line
+    of an error stays the one the full parser prints.
+    """
     parser = argparse.ArgumentParser(
         prog="cecalc",
         description="Exact class calculus for low-degree covers of P^1.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
+    sub = parser.add_subparsers(dest="command", required=True, **names)
+
+    def add(name: str, text: str) -> Optional[argparse.ArgumentParser]:
+        return sub.add_parser(name, help=text) if command in (None, name) else None
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON document")
@@ -224,65 +245,65 @@ def build_parser() -> argparse.ArgumentParser:
             help="ring truncation order: a checked lower bound, the output does not depend on it",
         )
 
-    p = sub.add_parser("kappa", help="kappa class in the cover-class generators")
-    p.add_argument("-k", type=int, choices=(3, 4, 5), required=True)
-    p.add_argument("-i", "--index", type=int, required=True)
-    p.add_argument("-g", "--genus", type=int)
-    p.add_argument("--symbolic", action="store_true", help="keep the genus symbolic")
-    add_common(p)
-    add_truncation(p)
-    p.set_defaults(handler=_cmd_kappa)
+    if p := add("kappa", "kappa class in the cover-class generators"):
+        p.add_argument("-k", type=int, choices=(3, 4, 5), required=True)
+        p.add_argument("-i", "--index", type=int, required=True)
+        p.add_argument("-g", "--genus", type=int)
+        p.add_argument("--symbolic", action="store_true", help="keep the genus symbolic")
+        add_common(p)
+        add_truncation(p)
+        p.set_defaults(handler=_cmd_kappa)
 
-    p = sub.add_parser("curve-class", help="universal curve class in P(E^v)")
-    p.add_argument("-k", type=int, choices=(3, 4, 5), required=True)
-    p.add_argument("-g", "--genus", type=int)
-    p.add_argument("--symbolic", action="store_true")
-    add_common(p)
-    add_truncation(p)
-    p.set_defaults(handler=_cmd_curve_class)
+    if p := add("curve-class", "universal curve class in P(E^v)"):
+        p.add_argument("-k", type=int, choices=(3, 4, 5), required=True)
+        p.add_argument("-g", "--genus", type=int)
+        p.add_argument("--symbolic", action="store_true")
+        add_common(p)
+        add_truncation(p)
+        p.set_defaults(handler=_cmd_curve_class)
 
-    p = sub.add_parser("strata", help="degree-4 splitting strata table")
-    p.add_argument("-k", type=int, default=4)
-    p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument(
-        "--filter", choices=("all", "irreducible", "non_factoring"), default="irreducible"
-    )
-    add_common(p)
-    p.set_defaults(handler=_cmd_strata)
+    if p := add("strata", "degree-4 splitting strata table"):
+        p.add_argument("-k", type=int, default=4)
+        p.add_argument("-g", "--genus", type=int, required=True)
+        p.add_argument(
+            "--filter", choices=("all", "irreducible", "non_factoring"), default="irreducible"
+        )
+        add_common(p)
+        p.set_defaults(handler=_cmd_strata)
 
-    p = sub.add_parser("splitting-codim", help="stratum codimension for a type pair")
-    p.add_argument("-k", type=int, choices=(4, 5), required=True)
-    p.add_argument("--e", required=True, help="comma-separated integers, e.g. 1,4,4")
-    p.add_argument("--f", required=True, help="comma-separated integers, e.g. 2,7")
-    p.add_argument("-g", "--genus", type=int)
-    add_common(p)
-    p.set_defaults(handler=_cmd_splitting_codim)
+    if p := add("splitting-codim", "stratum codimension for a type pair"):
+        p.add_argument("-k", type=int, choices=(4, 5), required=True)
+        p.add_argument("--e", required=True, help="comma-separated integers, e.g. 1,4,4")
+        p.add_argument("--f", required=True, help="comma-separated integers, e.g. 2,7")
+        p.add_argument("-g", "--genus", type=int)
+        add_common(p)
+        p.set_defaults(handler=_cmd_splitting_codim)
 
-    p = sub.add_parser("minimize", help="solve a piecewise-linear program exactly")
-    # Checked by plmin.preset, so that parsing does not load the solver.
-    p.add_argument("--preset", help="name of a bundled program, e.g. lemma_b4")
-    p.add_argument("--spec-file", help="JSON problem description")
-    add_common(p)
-    p.set_defaults(handler=_cmd_minimize)
+    if p := add("minimize", "solve a piecewise-linear program exactly"):
+        # Checked by plmin.preset, so that parsing does not load the solver.
+        p.add_argument("--preset", help="name of a bundled program, e.g. lemma_b4")
+        p.add_argument("--spec-file", help="JSON problem description")
+        add_common(p)
+        p.set_defaults(handler=_cmd_minimize)
 
-    p = sub.add_parser("bound", help="codimension lower bound from the solver")
-    p.add_argument("-k", type=int, choices=(4, 5), required=True)
-    p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument("--case", choices=("B_circ", "H_circ"), required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_bound)
+    if p := add("bound", "codimension lower bound from the solver"):
+        p.add_argument("-k", type=int, choices=(4, 5), required=True)
+        p.add_argument("-g", "--genus", type=int, required=True)
+        p.add_argument("--case", choices=("B_circ", "H_circ"), required=True)
+        add_common(p)
+        p.set_defaults(handler=_cmd_bound)
 
-    p = sub.add_parser("presentation", help="free generators and truncation bound")
-    p.add_argument("-k", type=int, choices=(3, 4, 5), required=True)
-    p.add_argument("-g", "--genus", type=int, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_presentation)
+    if p := add("presentation", "free generators and truncation bound"):
+        p.add_argument("-k", type=int, choices=(3, 4, 5), required=True)
+        p.add_argument("-g", "--genus", type=int, required=True)
+        add_common(p)
+        p.set_defaults(handler=_cmd_presentation)
 
-    p = sub.add_parser("ce-rank", help="rank of a resolution bundle")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-i", "--index", type=int, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_ce_rank)
+    if p := add("ce-rank", "rank of a resolution bundle"):
+        p.add_argument("-k", type=int, required=True)
+        p.add_argument("-i", "--index", type=int, required=True)
+        add_common(p)
+        p.set_defaults(handler=_cmd_ce_rank)
 
     return parser
 
@@ -294,8 +315,9 @@ def _no_solution_errors() -> tuple:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Anything but a command first (no argument, -h, an unknown word) needs them all.
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         inputs, output, lines = args.handler(args)
         if args.json:

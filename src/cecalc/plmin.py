@@ -12,8 +12,12 @@ a vertex of that intersection: a point where m independent boundary or
   1. folds the equalities into an integer Gauss-Jordan basis, working in
      integer coordinates on the affine subspace;
   2. certifies boundedness, in integers, by checking that the recession
-     cone of the projected inequalities is trivial: the normals must span,
-     and no null line of m - 1 independent normals may be a recession ray;
+     cone {d : W d <= 0} of the projected inequalities is trivial: the
+     normals (the rows of W) must span, and some y with every y_i > 0 must
+     have W^T y = 0 (Stiemke's alternative).  Phase 1 of an integer simplex
+     tableau finds y, and one exact pass checks it.  Only without such a y
+     are the (m-1)-subsets of normals walked, to name a null line of m - 1
+     independent normals that is a recession ray;
   3. groups the projected boundary hyperplanes and +1 breakpoint
      hyperplanes (the -1 breakpoints need no vertices of their own) by the
      direction of their normals, walks the independent m-subsets of
@@ -22,14 +26,15 @@ a vertex of that intersection: a point where m independent boundary or
      evaluates the objective at each as an integer numerator over a known
      denominator.
 
-The only linear algebra is one step: extending an integer Gauss-Jordan
-basis by a row.  It eliminates the equalities, checks that the normals
-span and puts each plane in normal form, as its one-row basis.  Steps 2
-and 3 share one depth-first walk over subsets, which extends the basis one
-row at a time (a normal, or a direction), reads each null line or family
-of vertices off it, and skips every completion of a dependent prefix
-without visiting it.  Parallel planes never meet, so a subset of planes
-with two in one direction is singular and is never formed.
+Besides the tableau, the only linear algebra is one step: extending an
+integer Gauss-Jordan basis by a row.  It eliminates the equalities, checks
+that the normals span and puts each plane in normal form, as its one-row
+basis.  Step 3, and step 2 when it names a ray, walk subsets depth-first
+the same way: the basis is extended one row at a time (a normal, or a
+direction), each null line or family of vertices is read off it, and every
+completion of a dependent prefix is skipped without a visit.  Parallel
+planes never meet, so a subset of planes with two in one direction is
+singular and is never formed.
 
 Programs whose subset counts exceed ``MAX_SUBSETS`` are refused with
 ValueError before any enumeration starts.
@@ -284,11 +289,59 @@ def _independent_subsets(rows: Sequence[tuple[int, ...]], size: int, m: int) -> 
             nxt.append(j + 1)
 
 
+def _stiemke(rows: list[tuple[int, ...]], m: int) -> bool:
+    """Whether a y with every y_i > 0 and sum_i y_i w_i = 0 is found and checked.
+
+    Phase 1 of the simplex method on y = 1 + s, s >= 0, with one artificial
+    variable per coordinate equation, by Bland's rule (so it terminates).
+    The tableau is integer: each row is its equation times a positive
+    factor, a pivot step is row <- p row - f pivot_row over the gcd, and
+    ratios are compared by cross-multiplying.  An artificial column is
+    dropped once it leaves the basis.  Whatever phase 1 ends with, only a
+    y that passes the exact check at the end counts.
+    """
+    r = len(rows)
+    tab = []  # row c: sum_i s_i w_i[c] = -sum_i w_i[c], its rhs made >= 0
+    for col in zip(*rows):
+        sign = 1 if sum(col) <= 0 else -1
+        tab.append([sign * v for v in col] + [-sign * sum(col)])
+    basis = list(range(r, r + m))  # the artificial of row c is variable r + c
+    tab.append([-sum(col) for col in zip(*tab)])  # reduced costs of the artificials' sum
+    while (j := next((j for j in range(r) if tab[m][j] < 0), None)) is not None:
+        best = None  # least ratio rhs / entry over the positive entries of column j
+        for i in range(m):
+            a = tab[i][j]
+            if a > 0 and (
+                best is None or (tab[i][r] * p, basis[i]) < (tab[best][r] * a, basis[best])
+            ):
+                best, p = i, a
+        if best is None:
+            return False
+        piv = tab[best]
+        for i, row in enumerate(tab):
+            if i != best and row[j]:
+                new = [p * v - row[j] * w for v, w in zip(row, piv)]
+                g = gcd(*new) or 1
+                tab[i] = [v // g for v in new]
+        basis[best] = j
+    q = lcm(*(row[k] for row, k in zip(tab, basis) if k < r))
+    y = [q] * r
+    for row, k in zip(tab, basis):
+        if k < r:
+            y[k] += row[r] * (q // row[k])
+    return all(v > 0 for v in y) and not any(_dot(y, col) for col in zip(*rows))
+
+
 def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
     """Raise UnboundedError unless {t : W t <= 0} is the zero cone.
 
     ``rows`` are the nonzero constraint normals, the rows of W.  With m = 0
-    the region is a single point and there is nothing to check.
+    the region is a single point and there is nothing to check.  Normals
+    that span are bounded exactly when some y > 0 has W^T y = 0 (Stiemke's
+    alternative): y . W t = 0 then forces W t = 0 on the cone, so t = 0.
+    Such a y, found by ``_stiemke`` and checked exactly, certifies the
+    region.  Otherwise the (m-1)-subsets of the normals are walked to name
+    the recession ray: some null line of m - 1 independent normals is one.
     """
     if m == 0:
         return
@@ -303,6 +356,8 @@ def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
         # every nonzero normal pins one side; both signs blocked iff normals differ in sign
         if all(w[0] > 0 for w in rows) or all(w[0] < 0 for w in rows):
             raise UnboundedError("feasible interval is a half line")
+        return
+    if _stiemke(rows, m):
         return
     for basis in _independent_subsets(rows, m - 1, m):
         # the null line of m - 1 independent rows, primitive and positive at
@@ -358,10 +413,10 @@ def _region(p: PLProgram) -> _Region:
     by reducing its row (a, b) by that basis, which clears the pivot
     columns and leaves w at the free columns and c in the rhs column.
 
-    Boundedness is certified by the same pruned walk as the vertex
-    enumeration, over the (m-1)-subsets of the constraint normals: each
-    independent one has a null line, and neither of its two rays d may have
-    W d <= 0, W being the matrix of normals.
+    Boundedness is certified by ``_check_bounded``: a y > 0 with
+    W^T y = 0, W being the matrix of constraint normals, or else the ray
+    that the pruned walk over their (m-1)-subsets finds.  The subset limit
+    on that walk is kept, and is checked first.
 
     Raises InfeasibleError when the equalities are inconsistent or an
     inequality that is constant on the subspace fails, ValueError

@@ -91,6 +91,32 @@ def test_envelope_cases_cover_every_command():
     assert sorted(argv[0] for argv in ENVELOPE_CASES) == sorted(sub.choices)
 
 
+def _exit_and_streams(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "-k", "4", "-i", "1", "--genus", "3", "extra"],
+        ["bound", "-k", "4", "-g", "10", "--case", "A"],
+        ["strata", "-k", "4"],
+        ["kappa", "-h"],
+        [],
+        ["kapa", "-k", "4"],
+        ["-h"],
+        ["--json", "minimize"],
+    ],
+    ids=["extra", "invalid_choice", "missing", "command_help", "none", "unknown", "help", "option_first"],
+)
+def test_one_command_parser_reads_as_the_full_parser(capsys, argv):
+    # main builds only the subparser argv[0] names; its texts must not show it
+    want = _exit_and_streams(capsys, build_parser().parse_args, argv)
+    assert _exit_and_streams(capsys, main, argv) == want
+
+
 @pytest.mark.parametrize("argv", ENVELOPE_CASES, ids=lambda argv: argv[0])
 def test_json_envelope_names_the_command_and_registered_formulas(capsys, argv):
     code, raw = run_cli(capsys, argv + ["--json"])
@@ -292,6 +318,10 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
             "error: a hinge sign has more than 4300 digits",
         ),
         ({"vars": "-1e4300"}, "error: the number of variables has more than 4300 digits"),
+        (
+            '{"vars": 1, "le": [[-1, 0], [1, ' + "9" * 4301 + "]]}",
+            "error: spec: an integer literal has more than 4300 digits\n",
+        ),
     ],
     ids=[
         "no_vars",
@@ -322,11 +352,12 @@ def test_infeasible_program_exits_3(tmp_path, capsys):
         "row_length_past_the_digit_limit",
         "hinge_sign_past_the_digit_limit",
         "variable_count_past_the_digit_limit",
+        "integer_literal_past_the_digit_limit",
     ],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, spec, key):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))  # a str is JSON text
     start = time.perf_counter()
     assert main(["minimize", "--spec-file", str(path)]) == 2
     assert time.perf_counter() - start < 1.0

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -9,6 +10,7 @@ from math import gcd
 import pytest
 
 from cecalc.plmin import (
+    PRESET_NAMES,
     InfeasibleError,
     UnboundedError,
     bound,
@@ -18,6 +20,9 @@ from cecalc.plmin import (
     program_from_json,
     sample_check,
     solve,
+    _check_bounded,
+    _region,
+    _stiemke,
 )
 from conftest import is_feasible, program_to_json
 
@@ -822,8 +827,11 @@ def _recount(p):
 def _first_ray(p):
     """The first primitive +-null generator of n - 1 constraint normals, in
     ``combinations`` order, with W . ray <= 0; None if there is none."""
-    n = p.num_vars
-    normals = [[int(v) for v in a] for a, _ in p.inequalities if any(a)]
+    return _first_ray_of([[int(v) for v in a] for a, _ in p.inequalities if any(a)], p.num_vars)
+
+
+def _first_ray_of(normals, n):
+    """``_first_ray`` of the nonzero integer normals of a program in n variables."""
     for subset in combinations(normals, n - 1):
         d = _null_generator(list(subset), n)
         if any(d):
@@ -850,6 +858,88 @@ def test_pruned_walk_counts_and_rays_match_a_recount():
             assert str(exc.value) == f"recession ray {ray} detected"
             unbounded += 1
     assert singular > 0 and unbounded > 0
+
+
+# -- the boundedness certificate against a recount ------------------------------------
+
+
+def _rank(rows):
+    """Rank of integer rows, by Fraction elimination."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is not None:
+            rows.remove(pivot)
+            rows = [[v - r[col] / pivot[col] * w for v, w in zip(r, pivot)] for r in rows]
+            rank += 1
+    return rank
+
+
+def _unbounded_text(normals, m):
+    """The text ``_check_bounded`` must raise for these nonzero normals in m
+    coordinates, by rank and by ``_first_ray_of``; None when they are bounded."""
+    if _rank(normals) < m:
+        return "constraint normals do not span; region contains a line"
+    if m == 1:
+        return None if len({w[0] > 0 for w in normals}) == 2 else "feasible interval is a half line"
+    ray = _first_ray_of(normals, m)
+    return None if ray is None else f"recession ray {ray} detected"
+
+
+def _normal_system(rng, m):
+    """Nonzero integer normals in m coordinates: random ones, often too few
+    to bound the region, sometimes all in one hyperplane; or the orthant
+    t >= 0 with a far side whose normal is nonnegative, which bounds it only
+    when every entry is positive, and at most one random normal."""
+    rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(1, m + 2))]
+    if rng.random() < 0.4:
+        far = [rng.randint(rng.randrange(2), 3) for _ in range(m)]
+        rows = [[-int(j == i) for j in range(m)] for i in range(m)] + [far] + rows[: rng.randrange(2)]
+    elif m > 1 and rng.random() < 0.2:  # rank deficient: the last coordinate is unseen
+        rows = [row[:-1] + [0] for row in rows]
+    return [tuple(row) for row in rows if any(row)]
+
+
+def test_boundedness_certificate_matches_a_recount():
+    """``_check_bounded`` returns exactly when no recession ray exists, and
+    otherwise raises the text of a recount over the (m-1)-subsets."""
+    rng = random.Random(20261023)
+    tally = {"bounded": 0, "line": 0, "half line": 0, "ray": 0}
+    for _ in range(2400):
+        m = rng.randint(1, 6)
+        normals = _normal_system(rng, m)
+        if not normals:
+            continue
+        want = _unbounded_text(normals, m)
+        if want is None:
+            _check_bounded(normals, m)
+            tally["bounded"] += 1
+        else:
+            with pytest.raises(UnboundedError) as exc:
+                _check_bounded(normals, m)
+            assert str(exc.value) == want
+            tally["ray" if "ray" in want else "half line" if "half" in want else "line"] += 1
+    assert tally["bounded"] > 500 and tally["ray"] > 500
+    assert tally["line"] > 100 and tally["half line"] > 100
+    # the presets are certified by the certificate alone, with no walk
+    for name in PRESET_NAMES:
+        r = _region(preset(name))
+        assert _stiemke([w for w, _ in r.ineq], len(r.free))
+
+
+def test_simplex_in_many_variables_solves_fast():
+    # x >= 0 and sum x <= 1 in 70 variables: 70 normals and their sum
+    n = 70
+    spec = {
+        "vars": n,
+        "le": [[-int(j == i) for j in range(n)] + [0] for i in range(n)] + [[1] * n + [1]],
+        "obj": {"lin": [(-1) ** i * (i + 1) for i in range(n)]},
+    }
+    start = time.perf_counter()
+    sol = solve(program_from_json(spec))
+    assert time.perf_counter() - start < 0.6
+    assert sol.min_value == -n and sol[2:] == (n + 1, n + 1, 0, 0, n + 1)
 
 
 # -- the direction walk against a recount ---------------------------------------------
