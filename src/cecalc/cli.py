@@ -48,6 +48,17 @@ def _genus(args: argparse.Namespace) -> Optional[int]:
     return args.genus
 
 
+def _check_printable(what: str, *polys) -> None:
+    """ValueError naming ``what`` and the limit when a coefficient of
+    ``polys`` has a numerator or denominator too long for Python to print."""
+    from .hurwitz import RANK_DIGITS
+
+    cap = 10**RANK_DIGITS
+    for poly in polys:
+        if any(max(abs(c.numerator), c.denominator) >= cap for c in poly.terms.values()):
+            raise ValueError(f"{what} has a coefficient of more than {RANK_DIGITS} digits")
+
+
 # -- command handlers ----------------------------------------------------------
 
 
@@ -56,6 +67,7 @@ def _cmd_kappa(args: argparse.Namespace) -> Report:
 
     genus = _genus(args)
     poly = hurwitz.kappa_value(args.k, args.index, genus, args.truncation)
+    _check_printable(f"kappa_{args.index}", poly)
     inputs = {
         "k": args.k,
         "i": args.index,
@@ -74,6 +86,7 @@ def _cmd_curve_class(args: argparse.Namespace) -> Report:
     genus = _genus(args)
     truncation = args.k + 2 if args.truncation is None else args.truncation
     c_class = hurwitz.curve_class_value(args.k, genus, truncation)
+    _check_printable("[C]", *c_class.coeffs)
     inputs = {
         "k": args.k,
         "genus": "symbolic" if genus is None else genus,
@@ -155,13 +168,21 @@ def _cmd_minimize(args: argparse.Namespace) -> Report:
     else:
         import json
 
-        def integer(text: str) -> int:
-            if len(text.lstrip("-")) > plmin.MAX_DIGITS:
-                raise ValueError(f"spec: an integer literal has more than {plmin.MAX_DIGITS} digits")
-            return int(text)
+        def literal(kind: str, make: type):
+            def read(text: str):
+                if sum(map(str.isdigit, text.lower().partition("e")[0])) > plmin.MAX_DIGITS:
+                    raise ValueError(f"spec: {kind} literal has more than {plmin.MAX_DIGITS} digits")
+                return make(text)
 
+            return read
+
+        # A number with a fraction or exponent keeps its literal text, which
+        # plmin reads exactly; named float, it reads as before in a type error.
+        decimal = type("float", (str,), {"__repr__": str.__str__})
         with open(args.spec_file) as fh:
-            prog = plmin.program_from_json(json.load(fh, parse_int=integer))
+            prog = plmin.program_from_json(json.load(
+                fh, parse_int=literal("an integer", int), parse_float=literal("a number", decimal)
+            ))
     solution = plmin.solve(prog)
     plmin.check_digits("the minimum", solution.min_value)
     plmin.check_digits("an argmin coordinate", *(v for pt in solution.argmin_points for v in pt))

@@ -39,9 +39,9 @@ from .bundles import ZetaClass, chern_from_parts, dual, fiber_ring, push_pi, zet
 from .gring import GradedPoly, RingSpec
 
 SUPPORTED_DEGREES = (3, 4, 5)
-# ce_rank refuses a rank with more decimal digits than this: it is the
-# longest integer Python converts to text by default, and building a much
-# longer one takes seconds to minutes.
+# ce_rank refuses a rank, and the CLI a kappa or [C] coefficient, with more
+# decimal digits than this: it is the longest integer Python converts to
+# text by default, and building a much longer rank takes seconds to minutes.
 RANK_DIGITS = 4300
 
 

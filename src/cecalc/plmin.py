@@ -15,9 +15,9 @@ a vertex of that intersection: a point where m independent boundary or
      cone {d : W d <= 0} of the projected inequalities is trivial: the
      normals (the rows of W) must span, and some y with every y_i > 0 must
      have W^T y = 0 (Stiemke's alternative).  Phase 1 of an integer simplex
-     tableau finds y, and one exact pass checks it.  Only without such a y
-     are the (m-1)-subsets of normals walked, to name a null line of m - 1
-     independent normals that is a recession ray;
+     tableau finds y, and one exact pass checks it.  Without such a y, the
+     tableau's reduced costs are W d for a recession ray d, which the span
+     check's basis solves for and one exact pass checks;
   3. groups the projected boundary hyperplanes and +1 breakpoint
      hyperplanes (the -1 breakpoints need no vertices of their own) by the
      direction of their normals, walks the independent m-subsets of
@@ -28,16 +28,15 @@ a vertex of that intersection: a point where m independent boundary or
 
 Besides the tableau, the only linear algebra is one step: extending an
 integer Gauss-Jordan basis by a row.  It eliminates the equalities, checks
-that the normals span and puts each plane in normal form, as its one-row
-basis.  Step 3, and step 2 when it names a ray, walk subsets depth-first
-the same way: the basis is extended one row at a time (a normal, or a
-direction), each null line or family of vertices is read off it, and every
-completion of a dependent prefix is skipped without a visit.  Parallel
-planes never meet, so a subset of planes with two in one direction is
-singular and is never formed.
+that the normals span, solves for the ray and puts each plane in normal
+form, as its one-row basis.  Step 3 walks subsets depth-first with it: the
+basis is extended one direction at a time, each family of vertices is read
+off it, and every completion of a dependent prefix is skipped without a
+visit.  Parallel planes never meet, so a subset of planes with two in one
+direction is singular and is never formed.
 
-Programs whose subset counts exceed ``MAX_SUBSETS`` are refused with
-ValueError before any enumeration starts.
+Programs whose planes give more than ``MAX_SUBSETS`` m-subsets are refused
+with ValueError before boundedness is checked.
 
 ``sample_check`` is an independent certificate that the solver's minimum
 is not too high: a hit-and-run walk on a lattice in subspace coordinates,
@@ -65,8 +64,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
 
-# Largest number of subsets the boundedness check or the vertex enumeration
-# may visit; larger programs would run for hours, so they are refused.
+# Largest number of subsets the vertex enumeration may visit; larger
+# programs would run for hours, so they are refused.
 MAX_SUBSETS = 10**6
 
 # Python's limit on the digits of an integer it converts to or from text.  A
@@ -256,8 +255,8 @@ def _solved(basis: _Basis, j: int, m: int) -> tuple[list[int], int]:
     return v, q
 
 
-def _independent_subsets(rows: Sequence[tuple[int, ...]], size: int, m: int) -> Iterator[_Basis]:
-    """The basis of each size-subset of rows independent in its first m columns.
+def _independent_subsets(rows: Sequence[tuple[int, ...]], m: int) -> Iterator[_Basis]:
+    """The basis of each m-subset of rows independent in its first m columns.
 
     Subsets are visited depth-first in ``itertools.combinations`` order, the
     basis of the current prefix extended by one row per step.  When a new
@@ -265,7 +264,7 @@ def _independent_subsets(rows: Sequence[tuple[int, ...]], size: int, m: int) -> 
     unvisited.  One basis per depth is kept on an explicit stack, so the
     depth is not bounded by the recursion limit.
     """
-    if size == 0:
+    if m == 0:
         yield []
         return
     n = len(rows)
@@ -274,7 +273,7 @@ def _independent_subsets(rows: Sequence[tuple[int, ...]], size: int, m: int) -> 
     while nxt:
         d = len(nxt) - 1
         j = nxt[d]
-        if j > n - size + d:  # too few rows left to complete a subset
+        if j > n - m + d:  # too few rows left to complete a subset
             nxt.pop()
             bases.pop()
             continue
@@ -282,15 +281,17 @@ def _independent_subsets(rows: Sequence[tuple[int, ...]], size: int, m: int) -> 
         extended = _extend(bases[d], rows[j], m)
         if extended is None:  # dependent prefix: none of its completions is independent
             continue
-        if d + 1 == size:
+        if d + 1 == m:
             yield extended
         else:
             bases.append(extended)
             nxt.append(j + 1)
 
 
-def _stiemke(rows: list[tuple[int, ...]], m: int) -> bool:
-    """Whether a y with every y_i > 0 and sum_i y_i w_i = 0 is found and checked.
+def _stiemke(rows: list[tuple[int, ...]], m: int) -> Optional[list[int]]:
+    """None when a y with every y_i > 0 and sum_i y_i w_i = 0 is found and
+    checked; otherwise phase 1's final reduced costs v, with v = W d for a
+    d of the recession cone, up to a positive factor.
 
     Phase 1 of the simplex method on y = 1 + s, s >= 0, with one artificial
     variable per coordinate equation, by Bland's rule (so it terminates).
@@ -299,6 +300,11 @@ def _stiemke(rows: list[tuple[int, ...]], m: int) -> bool:
     ratios are compared by cross-multiplying.  An artificial column is
     dropped once it leaves the basis.  Whatever phase 1 ends with, only a
     y that passes the exact check at the end counts.
+
+    When it does not pass, the artificials' sum stays positive.  Let u be
+    the final simplex multipliers and d_c = u_c times the sign of row c.
+    The reduced cost of s_i is then -w_i . d, and it is >= 0 at the end, so
+    W d <= 0; the artificials' sum is -sum_i w_i . d > 0, so W d != 0.
     """
     r = len(rows)
     tab = []  # row c: sum_i s_i w_i[c] = -sum_i w_i[c], its rhs made >= 0
@@ -308,6 +314,8 @@ def _stiemke(rows: list[tuple[int, ...]], m: int) -> bool:
     basis = list(range(r, r + m))  # the artificial of row c is variable r + c
     tab.append([-sum(col) for col in zip(*tab)])  # reduced costs of the artificials' sum
     while (j := next((j for j in range(r) if tab[m][j] < 0), None)) is not None:
+        # Phase 1 is bounded below by 0, so a column with a negative reduced
+        # cost has a positive entry: best is always found.
         best = None  # least ratio rhs / entry over the positive entries of column j
         for i in range(m):
             a = tab[i][j]
@@ -315,8 +323,6 @@ def _stiemke(rows: list[tuple[int, ...]], m: int) -> bool:
                 best is None or (tab[i][r] * p, basis[i]) < (tab[best][r] * a, basis[best])
             ):
                 best, p = i, a
-        if best is None:
-            return False
         piv = tab[best]
         for i, row in enumerate(tab):
             if i != best and row[j]:
@@ -329,7 +335,9 @@ def _stiemke(rows: list[tuple[int, ...]], m: int) -> bool:
     for row, k in zip(tab, basis):
         if k < r:
             y[k] += row[r] * (q // row[k])
-    return all(v > 0 for v in y) and not any(_dot(y, col) for col in zip(*rows))
+    if all(v > 0 for v in y) and not any(_dot(y, col) for col in zip(*rows)):
+        return None
+    return [-v for v in tab[m][:r]]
 
 
 def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
@@ -339,39 +347,33 @@ def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
     the region is a single point and there is nothing to check.  Normals
     that span are bounded exactly when some y > 0 has W^T y = 0 (Stiemke's
     alternative): y . W t = 0 then forces W t = 0 on the cone, so t = 0.
-    Such a y, found by ``_stiemke`` and checked exactly, certifies the
-    region.  Otherwise the (m-1)-subsets of the normals are walked to name
-    the recession ray: some null line of m - 1 independent normals is one.
+    ``_stiemke`` finds such a y, checked exactly, or else gives v = W d
+    for a recession direction d, up to a positive factor.  One basis of
+    the rows (w_i, v_i), with v = 0 for a bounded region, then checks that
+    the normals span, and solved for its last column it gives d, which is
+    checked exactly before it is named.
     """
     if m == 0:
         return
     if not rows:
         raise UnboundedError("no inequality constrains the affine subspace")
+    v = _stiemke(rows, m)
     span: _Basis = []
-    for w in rows:
-        span = _extend(span, w, m) or span
+    for w, vi in zip(rows, v or [0] * len(rows)):
+        span = _extend(span, (*w, vi), m) or span
     if len(span) < m:
         raise UnboundedError("constraint normals do not span; region contains a line")
+    if v is None:
+        return
+    d, _ = _solved(span, m, m)
+    g = gcd(*d) or 1
+    d = tuple(x // g for x in d)
+    if not any(d) or any(_dot(w, d) > 0 for w in rows):
+        raise ArithmeticError("phase 1 certified neither a y > 0 nor a recession ray")
     if m == 1:
-        # every nonzero normal pins one side; both signs blocked iff normals differ in sign
-        if all(w[0] > 0 for w in rows) or all(w[0] < 0 for w in rows):
-            raise UnboundedError("feasible interval is a half line")
-        return
-    if _stiemke(rows, m):
-        return
-    for basis in _independent_subsets(rows, m - 1, m):
-        # the null line of m - 1 independent rows, primitive and positive at
-        # the one free column
-        pivots = [c for c, _ in basis]
-        free = next(c for c in range(m) if c not in pivots)
-        vec, q = _solved(basis, free, m)
-        vec[free] = -q
-        g = gcd(*vec)
-        d = tuple(-v // g for v in vec)
-        for ray in (d, tuple(-v for v in d)):
-            if all(_dot(w, ray) <= 0 for w in rows):
-                shown = ray if _fits(*ray) else f"with an entry of more than {MAX_DIGITS} digits"
-                raise UnboundedError(f"recession ray {shown} detected")
+        raise UnboundedError("feasible interval is a half line")
+    shown = d if _fits(*d) else f"with an entry of more than {MAX_DIGITS} digits"
+    raise UnboundedError(f"recession ray {shown} detected")
 
 
 # -- the integer core shared by the solver and the sampler --------------------
@@ -414,15 +416,14 @@ def _region(p: PLProgram) -> _Region:
     columns and leaves w at the free columns and c in the rhs column.
 
     Boundedness is certified by ``_check_bounded``: a y > 0 with
-    W^T y = 0, W being the matrix of constraint normals, or else the ray
-    that the pruned walk over their (m-1)-subsets finds.  The subset limit
-    on that walk is kept, and is checked first.
+    W^T y = 0, W being the matrix of constraint normals, or else a
+    recession ray read off the same tableau.  The enumeration's subset
+    limit is checked first.
 
     Raises InfeasibleError when the equalities are inconsistent or an
-    inequality that is constant on the subspace fails, ValueError
-    when the boundedness check or the vertex enumeration would visit more
-    than ``MAX_SUBSETS`` subsets, and UnboundedError when the region is
-    unbounded, in that order.
+    inequality that is constant on the subspace fails, ValueError when the
+    vertex enumeration would visit more than ``MAX_SUBSETS`` subsets, and
+    UnboundedError when the region is unbounded, in that order.
     """
     n = p.num_vars
     eq: _Basis = []
@@ -456,16 +457,12 @@ def _region(p: PLProgram) -> _Region:
         for w, c in ineq + [(w, c) for sign, w, c, _ in hinges if sign > 0 and any(w)]
     ))
 
-    for count, what, size in (
-        (len(ineq), "inequality planes", m - 1),
-        (len(planes), "distinct boundary and +1 breakpoint planes", m),
-    ):
-        total = comb(count, size) if size >= 0 else 0
-        if total > MAX_SUBSETS:
-            raise ValueError(
-                f"program too large: {count} {what} in dimension m = {m} give "
-                f"{total} subsets of size {size}, over the limit of {MAX_SUBSETS}"
-            )
+    total = comb(len(planes), m)
+    if total > MAX_SUBSETS:
+        raise ValueError(
+            f"program too large: {len(planes)} distinct boundary and +1 breakpoint planes "
+            f"in dimension m = {m} give {total} subsets of size {m}, over the limit of {MAX_SUBSETS}"
+        )
     _check_bounded([w for w, _ in ineq], m)
 
     scale = lcm(lin[2], *(s for *_, s in hinges))
@@ -561,8 +558,8 @@ def solve(p: PLProgram) -> PLSolution:
     the constraint system and is certified before minimization (the vertex
     method needs a polytope), so a system that is simultaneously empty and
     recession-positive reports UnboundedError.  Raises ValueError, before
-    either step, when the boundedness check or the enumeration would visit
-    more than ``MAX_SUBSETS`` subsets.
+    either step, when the enumeration would visit more than ``MAX_SUBSETS``
+    subsets.
     """
     r = _region(p)
     m = len(r.free)
@@ -570,7 +567,7 @@ def solve(p: PLProgram) -> PLSolution:
     best: Optional[tuple[int, int]] = None  # (numerator, q) of the least value so far
     argmins: dict[tuple[tuple[int, ...], int], None] = {}
     vertices = infeasible = 0
-    for basis in _independent_subsets(rows, m, m):
+    for basis in _independent_subsets(rows, m):
         base, q = _solved(basis, m, m)
         # the multiples s v of each subset direction's unit column, one per plane
         choices = []

@@ -365,6 +365,30 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, spec, key):
     assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize(
+    "entry,code,text",
+    [
+        (
+            "0.1234567890123456789012345",
+            0,
+            "min = -246913578024691357802469/2000000000000000000000000 at "
+            "[(246913578024691357802469/2000000000000000000000000)]\n",
+        ),
+        ("1e400", 0, f"min = -{10**400} at [({10**400})]\n"),
+        ("1e5000", 2, "error: spec: entry of constraint row [1, 1e5000] must be a number, got 1e5000\n"),
+        ("0." + "9" * 4300, 2, "error: spec: a number literal has more than 4300 digits\n"),
+    ],
+    ids=["many_decimals", "past_a_double", "past_the_exponent_limit", "past_the_digit_limit"],
+)
+def test_spec_decimals_are_read_exactly(tmp_path, capsys, entry, code, text):
+    # max -x over 0 <= x <= entry, the entry a JSON number literal, not a string
+    path = tmp_path / "decimal.json"
+    path.write_text('{"vars": 1, "le": [[-1, 0], [1, ' + entry + ']], "obj": {"lin": [-1]}}')
+    assert main(["minimize", "--spec-file", str(path)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err) == text
+
+
 def test_unbounded_program_exits_3(tmp_path, capsys):
     spec = {"vars": 1, "le": [["-1", "0"]], "obj": {"lin": ["1"]}}
     path = tmp_path / "unbounded.json"
@@ -374,8 +398,8 @@ def test_unbounded_program_exits_3(tmp_path, capsys):
 
 
 def test_recession_ray_past_the_digit_limit_exits_3(tmp_path, capsys):
-    # y >= 10^4300 x and x >= 0 hold along the ray (1, 10^4300)
-    spec = {"vars": 2, "le": [["1e4300", "-1", "0"], ["-1", "0", "0"]]}
+    # y >= 10^4300 x, y <= 10^4300 x and x >= 0: the cone is the one ray (1, 10^4300)
+    spec = {"vars": 2, "le": [["1e4300", "-1", "0"], ["-1e4300", "1", "0"], ["-1", "0", "0"]]}
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(spec))
     assert main(["minimize", "--spec-file", str(path)]) == 3
@@ -383,8 +407,28 @@ def test_recession_ray_past_the_digit_limit_exits_3(tmp_path, capsys):
     assert err == "error: recession ray with an entry of more than 4300 digits detected\n"
 
 
+def test_recession_ray_behind_many_subsets_exits_3_fast(tmp_path, capsys):
+    # x1 >= 0 on 20 random rows and -1 <= x_j <= 1 for j = 2..6: the cone is
+    # the one ray e_1, lying only on the null lines of the last 10 rows, so a
+    # walk over the C(30, 5) subsets of normals reaches it late
+    rng = random.Random(1)
+    rows = [
+        [str(rng.randint(-3, -1))] + [str(rng.randint(-3, 3)) for _ in range(5)] + [str(rng.randint(0, 5))]
+        for _ in range(20)
+    ]
+    for j in range(1, 6):
+        for sign in (1, -1):
+            rows.append([str(sign * int(i == j)) for i in range(6)] + ["1"])
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps({"vars": 6, "le": rows, "obj": {"lin": ["1"] * 6}}))
+    start = time.perf_counter()
+    assert main(["minimize", "--spec-file", str(path)]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "error: recession ray (1, 0, 0, 0, 0, 0) detected\n"
+
+
 def test_oversized_program_exits_2_fast(tmp_path, capsys):
-    # 9 variables, a box and 42 cuts: C(60, 8) boundedness subsets
+    # 9 variables, a box and 42 cuts: C(60, 9) subsets to enumerate
     rng = random.Random(9)
     rows = []
     for i in range(9):
@@ -397,7 +441,7 @@ def test_oversized_program_exits_2_fast(tmp_path, capsys):
     assert main(["minimize", "--spec-file", str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "60 inequality planes in dimension m = 9 give 2558620845 subsets" in err
+    assert "60 distinct boundary and +1 breakpoint planes in dimension m = 9 give 14783142660 subsets" in err
 
 
 def test_many_variable_program_exits_3_fast(tmp_path, capsys):
@@ -449,6 +493,27 @@ def test_strata_limit_counts_every_candidate_whatever_the_filter(capsys, filter)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "genus 619 has 10026640 candidate strata, more than the limit" in captured.err
+
+
+@pytest.mark.parametrize("json_mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["kappa", "-k", "3", "-i", "4", "-g", "9" * 1000], "kappa_4"),
+        (["curve-class", "-k", "5", "-g", "9" * 4300], "[C]"),
+    ],
+    ids=["kappa", "curve-class"],
+)
+def test_coefficient_past_the_digit_limit_exits_2(capsys, argv, what, json_mode):
+    assert main(argv + json_mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} has a coefficient of more than 4300 digits\n"
+
+
+def test_coefficient_within_the_digit_limit_prints(capsys):
+    code, out = run_cli(capsys, ["kappa", "-k", "3", "-i", "1", "-g", "9" * 2000])
+    assert code == 0 and out.startswith("kappa_1 = ") and len(out) > 2000
 
 
 @pytest.mark.parametrize(

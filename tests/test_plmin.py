@@ -1,6 +1,7 @@
 """Exact piecewise-linear minimization: solver, presets, oracles, invariances."""
 
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -824,22 +825,34 @@ def _recount(p):
     return tuple(counts)
 
 
-def _first_ray(p):
-    """The first primitive +-null generator of n - 1 constraint normals, in
-    ``combinations`` order, with W . ray <= 0; None if there is none."""
-    return _first_ray_of([[int(v) for v in a] for a, _ in p.inequalities if any(a)], p.num_vars)
-
-
-def _first_ray_of(normals, n):
-    """``_first_ray`` of the nonzero integer normals of a program in n variables."""
+def _extreme_rays(normals, n):
+    """The primitive +-null generators of n - 1 of the nonzero integer normals
+    with W . ray <= 0, the extreme rays of the recession cone when the
+    normals span, up to the second found: enough to tell none, one or more."""
+    rays = set()
     for subset in combinations(normals, n - 1):
         d = _null_generator(list(subset), n)
         if any(d):
             g = gcd(*d)
             for ray in (tuple(v // g for v in d), tuple(-v // g for v in d)):
                 if all(sum(a_i * r_i for a_i, r_i in zip(a, ray)) <= 0 for a in normals):
-                    return ray
-    return None
+                    rays.add(ray)
+            if len(rays) > 1:
+                break
+    return rays
+
+
+def _assert_names_a_ray(text, normals, rays):
+    """``text`` names a primitive d != 0 with w . d <= 0 for every normal, and
+    names the one extreme ray when ``rays`` holds exactly one; whether it did."""
+    match = re.fullmatch(r"recession ray \((.*)\) detected", text)
+    assert match, text
+    d = tuple(int(v) for v in match[1].split(", "))
+    assert any(d) and gcd(*d) == 1
+    assert all(sum(a_i * r_i for a_i, r_i in zip(a, d)) <= 0 for a in normals)
+    if len(rays) == 1:
+        assert {d} == rays
+    return len(rays) == 1
 
 
 def test_pruned_walk_counts_and_rays_match_a_recount():
@@ -847,15 +860,16 @@ def test_pruned_walk_counts_and_rays_match_a_recount():
     singular = unbounded = 0
     for n in [4, 5, 6] * 4:
         p = _box_cut_program(rng, n)
-        ray = _first_ray(p)
-        if ray is None:
+        normals = [[int(v) for v in a] for a, _ in p.inequalities if any(a)]
+        rays = _extreme_rays(normals, n)
+        if not rays:
             counts = _recount(p)
             assert solve(p)[2:] == counts
             singular += counts[2]
         else:
             with pytest.raises(UnboundedError) as exc:
                 solve(p)
-            assert str(exc.value) == f"recession ray {ray} detected"
+            _assert_names_a_ray(str(exc.value), normals, rays)
             unbounded += 1
     assert singular > 0 and unbounded > 0
 
@@ -877,14 +891,14 @@ def _rank(rows):
 
 
 def _unbounded_text(normals, m):
-    """The text ``_check_bounded`` must raise for these nonzero normals in m
-    coordinates, by rank and by ``_first_ray_of``; None when they are bounded."""
+    """What ``_check_bounded`` must raise for these nonzero normals in m
+    coordinates, by rank and by ``_extreme_rays``: None when they are
+    bounded, the text of a line or a half line, or ``_extreme_rays``."""
     if _rank(normals) < m:
         return "constraint normals do not span; region contains a line"
     if m == 1:
         return None if len({w[0] > 0 for w in normals}) == 2 else "feasible interval is a half line"
-    ray = _first_ray_of(normals, m)
-    return None if ray is None else f"recession ray {ray} detected"
+    return _extreme_rays(normals, m) or None
 
 
 def _normal_system(rng, m):
@@ -903,9 +917,9 @@ def _normal_system(rng, m):
 
 def test_boundedness_certificate_matches_a_recount():
     """``_check_bounded`` returns exactly when no recession ray exists, and
-    otherwise raises the text of a recount over the (m-1)-subsets."""
+    otherwise raises the text of a recount, or names a ray of the cone."""
     rng = random.Random(20261023)
-    tally = {"bounded": 0, "line": 0, "half line": 0, "ray": 0}
+    tally = {"bounded": 0, "line": 0, "half line": 0, "ray": 0, "the one ray": 0}
     for _ in range(2400):
         m = rng.randint(1, 6)
         normals = _normal_system(rng, m)
@@ -915,17 +929,21 @@ def test_boundedness_certificate_matches_a_recount():
         if want is None:
             _check_bounded(normals, m)
             tally["bounded"] += 1
+            continue
+        with pytest.raises(UnboundedError) as exc:
+            _check_bounded(normals, m)
+        if isinstance(want, set):
+            tally["ray"] += 1
+            tally["the one ray"] += _assert_names_a_ray(str(exc.value), normals, want)
         else:
-            with pytest.raises(UnboundedError) as exc:
-                _check_bounded(normals, m)
             assert str(exc.value) == want
-            tally["ray" if "ray" in want else "half line" if "half" in want else "line"] += 1
-    assert tally["bounded"] > 500 and tally["ray"] > 500
+            tally["half line" if "half" in want else "line"] += 1
+    assert tally["bounded"] > 500 and tally["ray"] > 500 and tally["the one ray"] > 100
     assert tally["line"] > 100 and tally["half line"] > 100
-    # the presets are certified by the certificate alone, with no walk
+    # the presets are certified by the certificate alone
     for name in PRESET_NAMES:
         r = _region(preset(name))
-        assert _stiemke([w for w, _ in r.ineq], len(r.free))
+        assert _stiemke([w for w, _ in r.ineq], len(r.free)) is None
 
 
 def test_simplex_in_many_variables_solves_fast():
