@@ -12,9 +12,28 @@ Five layers, bottom up:
 
 plus a ``cecalc`` command-line tool (module ``cli``).
 
-The package root exports nothing but ``__version__``: import the layer you
-need, e.g. ``from cecalc import hurwitz`` or ``from cecalc.plmin import
+The package root holds only ``__version__`` and the digit limit that the
+layers and the command line share, and imports nothing: import the layer
+you need, e.g. ``from cecalc import hurwitz`` or ``from cecalc.plmin import
 solve``, so that a program loads only the layers it uses.
 """
 
 __version__ = "1.0.0"
+
+# Python's limit on the digits of an integer it converts to or from text:
+# every number a command prints must fit it, and so must a spec number's
+# exponent (building 1e10000000 takes seconds).
+MAX_DIGITS = 4300
+_CAP = 10**MAX_DIGITS
+
+
+def fits(*values) -> bool:
+    """Whether every numerator and denominator of the ints or Fractions
+    ``values`` has at most MAX_DIGITS digits, so that Python can print it."""
+    return all(max(abs(q.numerator), q.denominator) < _CAP for q in values)
+
+
+def check_digits(what: str, *values) -> None:
+    """ValueError naming ``what`` and the limit unless ``values`` fit MAX_DIGITS."""
+    if not fits(*values):
+        raise ValueError(f"{what} has more than {MAX_DIGITS} digits")

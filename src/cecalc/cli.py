@@ -20,6 +20,8 @@ import sys
 from itertools import islice
 from typing import Optional, Sequence
 
+from . import MAX_DIGITS, check_digits, fits
+
 # Stable identifiers for the formula each number comes from, by command (and k
 # for splitting-codim); the README's "formula register" spells each one out.
 CITE = {
@@ -48,17 +50,6 @@ def _genus(args: argparse.Namespace) -> Optional[int]:
     return args.genus
 
 
-def _check_printable(what: str, *polys) -> None:
-    """ValueError naming ``what`` and the limit when a coefficient of
-    ``polys`` has a numerator or denominator too long for Python to print."""
-    from .hurwitz import RANK_DIGITS
-
-    cap = 10**RANK_DIGITS
-    for poly in polys:
-        if any(max(abs(c.numerator), c.denominator) >= cap for c in poly.terms.values()):
-            raise ValueError(f"{what} has a coefficient of more than {RANK_DIGITS} digits")
-
-
 # -- command handlers ----------------------------------------------------------
 
 
@@ -67,7 +58,8 @@ def _cmd_kappa(args: argparse.Namespace) -> Report:
 
     genus = _genus(args)
     poly = hurwitz.kappa_value(args.k, args.index, genus, args.truncation)
-    _check_printable(f"kappa_{args.index}", poly)
+    if not fits(*poly.terms.values()):
+        raise ValueError(f"kappa_{args.index} has a coefficient of more than {MAX_DIGITS} digits")
     inputs = {
         "k": args.k,
         "i": args.index,
@@ -86,7 +78,8 @@ def _cmd_curve_class(args: argparse.Namespace) -> Report:
     genus = _genus(args)
     truncation = args.k + 2 if args.truncation is None else args.truncation
     c_class = hurwitz.curve_class_value(args.k, genus, truncation)
-    _check_printable("[C]", *c_class.coeffs)
+    if not fits(*(c for poly in c_class.coeffs for c in poly.terms.values())):
+        raise ValueError(f"[C] has a coefficient of more than {MAX_DIGITS} digits")
     inputs = {
         "k": args.k,
         "genus": "symbolic" if genus is None else genus,
@@ -155,6 +148,7 @@ def _cmd_splitting_codim(args: argparse.Namespace) -> Report:
             raise ValueError("k = 5 needs --genus")
         codim = splitting.codim_hurwitz5(e, f, args.genus)
         inputs["genus"] = args.genus
+    check_digits("the codimension", codim)
     return inputs, {"codim": codim}, [f"codim = {codim}"]
 
 
@@ -170,8 +164,8 @@ def _cmd_minimize(args: argparse.Namespace) -> Report:
 
         def literal(kind: str, make: type):
             def read(text: str):
-                if sum(map(str.isdigit, text.lower().partition("e")[0])) > plmin.MAX_DIGITS:
-                    raise ValueError(f"spec: {kind} literal has more than {plmin.MAX_DIGITS} digits")
+                if sum(map(str.isdigit, text.lower().partition("e")[0])) > MAX_DIGITS:
+                    raise ValueError(f"spec: {kind} literal has more than {MAX_DIGITS} digits")
                 return make(text)
 
             return read
@@ -184,8 +178,8 @@ def _cmd_minimize(args: argparse.Namespace) -> Report:
                 fh, parse_int=literal("an integer", int), parse_float=literal("a number", decimal)
             ))
     solution = plmin.solve(prog)
-    plmin.check_digits("the minimum", solution.min_value)
-    plmin.check_digits("an argmin coordinate", *(v for pt in solution.argmin_points for v in pt))
+    check_digits("the minimum", solution.min_value)
+    check_digits("an argmin coordinate", *(v for pt in solution.argmin_points for v in pt))
     output = {
         "min": str(solution.min_value),
         "argmin": [[str(v) for v in pt] for pt in solution.argmin_points],
@@ -212,6 +206,7 @@ def _cmd_presentation(args: argparse.Namespace) -> Report:
     from . import hurwitz
 
     generators, degree_bound = hurwitz.presentation(args.k, args.genus)
+    check_digits(f"the degree bound g + {args.k}", degree_bound)
     inputs = {"k": args.k, "genus": args.genus}
     output = {
         "generators": [{"name": n, "degree": d} for n, d in generators],

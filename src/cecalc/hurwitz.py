@@ -35,14 +35,11 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple, Optional, Union
 
+from . import MAX_DIGITS
 from .bundles import ZetaClass, chern_from_parts, dual, fiber_ring, push_pi, zeta_twisted_ch
 from .gring import GradedPoly, RingSpec
 
 SUPPORTED_DEGREES = (3, 4, 5)
-# ce_rank refuses a rank, and the CLI a kappa or [C] coefficient, with more
-# decimal digits than this: it is the longest integer Python converts to
-# text by default, and building a much longer rank takes seconds to minutes.
-RANK_DIGITS = 4300
 
 
 def ce_rank(i: int, k: int) -> int:
@@ -52,9 +49,10 @@ def ce_rank(i: int, k: int) -> int:
     final step i = k-2, where the bundle is the determinant line bundle;
     that case is pinned to 1.  C(k, i+1) = C(k, j) with j = min(i+1, k-i-1)
     <= k/2, and C(k, t) only grows up to t = j, so it is formed at
-    t = 1, 3, 7, ..., j: a rank above RANK_DIGITS digits is refused as soon
-    as one of these shows it, and each is at most about the square of the
-    last one, which did not.
+    t = 1, 3, 7, ..., j: a rank of more than MAX_DIGITS digits, too long for
+    Python to print and seconds to minutes to build, is refused as soon as
+    one of these shows it, and each is at most about the square of the last
+    one, which did not.
     """
     if k < 3:
         raise ValueError(f"covering degree must be >= 3, got {k}")
@@ -63,14 +61,14 @@ def ce_rank(i: int, k: int) -> int:
     if i == k - 2:
         return 1
     scale = i * (k - 2 - i)
-    cap = 10**RANK_DIGITS * (k - 1)  # rank >= 10^RANK_DIGITS iff C * scale >= cap
+    cap = 10**MAX_DIGITS * (k - 1)  # rank >= 10^MAX_DIGITS iff C * scale >= cap
     j = min(i + 1, k - i - 1)
     t = 0
     while t < j:
         t = min(2 * t + 1, j)
         binom = comb(k, t)
         if binom * scale >= cap:
-            raise ValueError(f"rank for k = {k}, i = {i} has more than {RANK_DIGITS} digits")
+            raise ValueError(f"rank for k = {k}, i = {i} has more than {MAX_DIGITS} digits")
     rank, rest = divmod(binom * scale, k - 1)
     if rest:
         raise ArithmeticError(f"non-integral rank for (i={i}, k={k})")

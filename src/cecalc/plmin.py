@@ -61,30 +61,14 @@ from numbers import Real
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
+from . import MAX_DIGITS, check_digits, fits
+
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
 
 # Largest number of subsets the vertex enumeration may visit; larger
 # programs would run for hours, so they are refused.
 MAX_SUBSETS = 10**6
-
-# Python's limit on the digits of an integer it converts to or from text.  A
-# spec number's exponent may be at most this, in absolute value (building
-# 1e10000000 takes seconds), and a number that is printed must fit it.
-MAX_DIGITS = 4300
-_DIGITS_CAP = 10**MAX_DIGITS
-
-
-def _fits(*values: Scalar) -> bool:
-    """Whether every numerator and denominator of ``values`` has at most
-    MAX_DIGITS digits, so that Python can print it."""
-    return all(max(abs(q.numerator), q.denominator) < _DIGITS_CAP for q in map(Fraction, values))
-
-
-def check_digits(what: str, *values: Scalar) -> None:
-    """ValueError naming ``what`` and the limit unless ``values`` fit MAX_DIGITS."""
-    if not _fits(*values):
-        raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
 
 
 class PLError(Exception):
@@ -102,6 +86,7 @@ class UnboundedError(PLError):
 def _vec(values: Iterable[Scalar], n: int, what: str) -> Vector:
     out = tuple(Fraction(v) for v in values)
     if len(out) != n:
+        check_digits("the number of variables", n)
         raise ValueError(f"{what} has length {len(out)}, expected {n}")
     return out
 
@@ -372,7 +357,7 @@ def _check_bounded(rows: list[tuple[int, ...]], m: int) -> None:
         raise ArithmeticError("phase 1 certified neither a y > 0 nor a recession ray")
     if m == 1:
         raise UnboundedError("feasible interval is a half line")
-    shown = d if _fits(*d) else f"with an entry of more than {MAX_DIGITS} digits"
+    shown = d if fits(*d) else f"with an entry of more than {MAX_DIGITS} digits"
     raise UnboundedError(f"recession ray {shown} detected")
 
 

@@ -32,6 +32,8 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import MAX_DIGITS, check_digits, fits
+
 TypeLike = Sequence[int]
 
 
@@ -133,10 +135,8 @@ def codim_hurwitz5(e: TypeLike, f: TypeLike, genus: int) -> int:
         raise ValueError(f"genus must be >= 2, got {genus}")
     e, f = _pair(e, f, (4, 5))
     if sum(e) != genus + 4 or sum(f) != 2 * genus + 8:
-        raise ValueError(
-            f"need degrees ({genus + 4}, {2 * genus + 8}), "
-            f"got ({sum(e)}, {sum(f)})"
-        )
+        check_digits("one of deg e, deg f, g + 4 and 2g + 8", sum(e), sum(f), 2 * genus + 8)
+        raise ValueError(f"need degrees ({genus + 4}, {2 * genus + 8}), got ({sum(e)}, {sum(f)})")
     return _h1_end(e) + _h1_end(f) - h1(_quintic_u(e, f, genus))
 
 
@@ -280,8 +280,9 @@ def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRe
     # (number of sorted e: the partitions of d into three parts) * (number of sorted f)
     candidates = (d * d + 6) // 12 * (d // 2)
     if candidates > MAX_STRATA_CANDIDATES:
+        count = candidates if fits(candidates) else f"at least 10^{MAX_DIGITS}"
         raise ValueError(
-            f"genus {genus} has {candidates} candidate strata, "
+            f"genus {genus} has {count} candidate strata, "
             f"more than the limit of {MAX_STRATA_CANDIDATES}"
         )
     fs = [SplittingType((f1, d - f1)) for f1 in range(1, d // 2 + 1)]

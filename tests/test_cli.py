@@ -516,6 +516,50 @@ def test_coefficient_within_the_digit_limit_prints(capsys):
     assert code == 0 and out.startswith("kappa_1 = ") and len(out) > 2000
 
 
+NINES = "9" * 4300  # the largest genus or part a command reads
+# e = (1, 1, 1, g + 1) and f = (1, 1, a, a, t - 2a) have the degrees (g + 4, 2g + 8)
+EDGE_G = 10**4300 - 10
+EDGE_T = 2 * EDGE_G + 6
+EDGE_A = EDGE_T // 3
+# A dict stands for a spec file.  bound is absent: every preset minimum is at
+# most 1, so each bound is below its genus.
+DIGIT_EDGE_CASES = {
+    "presentation": ["presentation", "-k", "5", "-g", NINES],
+    "codim-k4": ["splitting-codim", "-k", "4", "--e", "0,0,0", "--f", "0," + NINES],
+    "codim-k5": [
+        "splitting-codim", "-k", "5", "--e", f"1,1,1,{EDGE_G + 1}",
+        "--f", f"1,1,{EDGE_A},{EDGE_A},{EDGE_T - 2 * EDGE_A}", "-g", str(EDGE_G),
+    ],
+    "codim-k5-degrees": [
+        "splitting-codim", "-k", "5", "--e", "1,1,1," + NINES, "--f", "1,1,1,1,1", "-g", NINES,
+    ],
+    "strata": ["strata", "-k", "4", "-g", "9" * 1500],
+    "kappa": ["kappa", "-k", "3", "-i", "4", "-g", NINES],
+    "curve-class": ["curve-class", "-k", "5", "-g", NINES],
+    "ce-rank": ["ce-rank", "-k", "14300", "-i", "7149"],
+    "minimize": [
+        "minimize", "--spec-file",
+        {"vars": 1, "le": [["1", "0"], ["-1", "1e4300"]], "obj": {"lin": ["1"]}},
+    ],
+    "minimize-vars": ["minimize", "--spec-file", {"vars": "1e4300", "obj": {"lin": ["1"]}}],
+}
+
+
+@pytest.mark.parametrize("json_mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", DIGIT_EDGE_CASES.values(), ids=DIGIT_EDGE_CASES)
+def test_every_command_refuses_a_number_past_the_digit_limit(tmp_path, capsys, argv, json_mode):
+    spec = tmp_path / "spec.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            spec.write_text(json.dumps(arg))
+    argv = [str(spec) if isinstance(arg, dict) else arg for arg in argv]
+    assert main(argv + json_mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "4300" in captured.err
+    assert "Exceeds the limit" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["kappa", "-k", "3", "-i", "1"], ["curve-class", "-k", "3", "--json"]],

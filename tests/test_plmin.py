@@ -762,7 +762,7 @@ def test_reduced_arrangement_matches_full_arrangement(random_program_factory):
     assert tally[InfeasibleError] > 500 and tally[UnboundedError] > 300
 
 
-# -- the pruned subset walk against a recount ---------------------------------------
+# -- solve's counts and rays against a recount --------------------------------------
 
 
 def _box_cut_program(rng, n):
@@ -855,7 +855,7 @@ def _assert_names_a_ray(text, normals, rays):
     return len(rays) == 1
 
 
-def test_pruned_walk_counts_and_rays_match_a_recount():
+def test_solve_counts_and_rays_match_a_recount():
     rng = random.Random(20261019)
     singular = unbounded = 0
     for n in [4, 5, 6] * 4:
