@@ -19,11 +19,14 @@ which splitting-type inequalities a smooth irreducible (or non-factoring)
 cover forces, and the degree-4 enumeration reproduces the full stratum
 table of a given genus.
 
-Each public function validates its pair once, with ``_pair``.  The
-degree-4 enumeration builds its types sorted and validates each pair once,
-in ``constraints_4`` (the benchmark tracer counts the pairs visited by its
-calls); it computes the codimension with ``_codim4``, which takes h1(End)
-of each type, summed once per type, and the summands of Sym^2 e.
+Each public function validates its pair once, with ``_pair``, into sorted
+tuples of ints: a ``SplittingType`` passes as it is, and nothing else is
+built into one, so the plain tuples of a Pfaffian sweep cost no type
+construction.  The formulas then unpack the parts once.  The degree-4
+enumeration builds each type once, sorted, with its h1(End), and calls the
+module-global ``constraints_4`` once for each pair it visits (the
+benchmark tracer counts the visited pairs by wrapping that name); each
+row's codimension is ``_codim4`` on the summands of Sym^2 e.
 """
 
 from __future__ import annotations
@@ -60,10 +63,6 @@ class SplittingType(tuple):
         return f"SplittingType({self.text()})"
 
 
-def _coerce(t: TypeLike) -> SplittingType:
-    return t if isinstance(t, SplittingType) else SplittingType(t)
-
-
 # -- cohomology and summand-wise constructions ------------------------------
 
 
@@ -76,30 +75,28 @@ def _sym2(t: Sequence[int]) -> Iterator[int]:
     return (a + b for i, a in enumerate(t) for b in t[i:])
 
 
-def _wedge2(t: Sequence[int]) -> Iterator[int]:
-    return (t[i] + t[j] for i, j in combinations(range(len(t)), 2))
+def _wedge2(t: Iterable[int]) -> Iterator[int]:
+    return (a + b for a, b in combinations(t, 2))
 
 
 def tensor_type(s: TypeLike, t: TypeLike) -> SplittingType:
-    return SplittingType(a + b for a in _coerce(s) for b in _coerce(t))
+    t = SplittingType(t)  # once: the inner loop runs for each part of s
+    return SplittingType(a + b for a in SplittingType(s) for b in t)
 
 
 def sym2_type(t: TypeLike) -> SplittingType:
-    return SplittingType(_sym2(_coerce(t)))
+    return SplittingType(_sym2(SplittingType(t)))
 
 
 def wedge2_type(t: TypeLike) -> SplittingType:
-    return SplittingType(_wedge2(_coerce(t)))
-
-
-def _quintic_u(e: SplittingType, f: SplittingType, genus: int) -> Iterator[int]:
-    """The 40 summand degrees e_i + f_j + f_k - (g+4) of e . wedge^2 f . O(-g-4)."""
-    return (a + b - (genus + 4) for a in e for b in _wedge2(f))
+    return SplittingType(_wedge2(SplittingType(t)))
 
 
 def _pair(e: TypeLike, f: TypeLike, ranks: tuple[int, int]) -> tuple:
-    """(e, f) as SplittingTypes; ValueError unless their ranks are ``ranks``."""
-    e, f = _coerce(e), _coerce(f)
+    """(e, f) as sorted tuples of ints, each SplittingType as it is, without
+    building one; ValueError unless their ranks are ``ranks``."""
+    e = e if isinstance(e, SplittingType) else tuple(sorted(map(int, e)))
+    f = f if isinstance(f, SplittingType) else tuple(sorted(map(int, f)))
     if (len(e), len(f)) != ranks:
         raise ValueError(f"need ranks {ranks}, got ({len(e)}, {len(f)})")
     return e, f
@@ -113,10 +110,11 @@ def _h1_end(t: Sequence[int]) -> int:
     return h1(b - a for a in t for b in t)
 
 
-def _codim4(sym2_e: Iterable[int], f: SplittingType, end_e: int, end_f: int) -> int:
+def _codim4(sym2_e: Sequence[int], f: Sequence[int], end_e: int, end_f: int) -> int:
     """h1(End e) + h1(End f) - h1(Hom(f, Sym^2 e)), given the summand degrees
-    of Sym^2 e and the two h1(End)."""
-    return end_e + end_f - h1([s - fl for s in sym2_e for fl in f])
+    of Sym^2 e and the two h1(End); the last is ``h1`` of the degrees s - fl,
+    summed inline."""
+    return end_e + end_f - sum(fl - s - 1 for fl in f for s in sym2_e if s < fl - 1)
 
 
 def codim_hurwitz4(e: TypeLike, f: TypeLike) -> int:
@@ -126,7 +124,7 @@ def codim_hurwitz4(e: TypeLike, f: TypeLike) -> int:
     filtering by the cover constraints is the caller's job.
     """
     e, f = _pair(e, f, (3, 2))
-    return _codim4(_sym2(e), f, _h1_end(e), _h1_end(f))
+    return _codim4(tuple(_sym2(e)), f, _h1_end(e), _h1_end(f))
 
 
 def codim_hurwitz5(e: TypeLike, f: TypeLike, genus: int) -> int:
@@ -134,10 +132,12 @@ def codim_hurwitz5(e: TypeLike, f: TypeLike, genus: int) -> int:
     if genus < 2:
         raise ValueError(f"genus must be >= 2, got {genus}")
     e, f = _pair(e, f, (4, 5))
-    if sum(e) != genus + 4 or sum(f) != 2 * genus + 8:
-        check_digits("one of deg e, deg f, g + 4 and 2g + 8", sum(e), sum(f), 2 * genus + 8)
-        raise ValueError(f"need degrees ({genus + 4}, {2 * genus + 8}), got ({sum(e)}, {sum(f)})")
-    return _h1_end(e) + _h1_end(f) - h1(_quintic_u(e, f, genus))
+    deg_e, deg_f, target = sum(e), sum(f), genus + 4
+    if deg_e != target or deg_f != 2 * target:
+        check_digits("one of deg e, deg f, g + 4 and 2g + 8", deg_e, deg_f, 2 * target)
+        raise ValueError(f"need degrees ({target}, {2 * target}), got ({deg_e}, {deg_f})")
+    wedge2_f = tuple(_wedge2(f))
+    return _h1_end(e) + _h1_end(f) - h1([a + b - target for a in e for b in wedge2_f])
 
 
 def negative_summand_count5(e: TypeLike, f: TypeLike, genus: int) -> int:
@@ -149,7 +149,8 @@ def negative_summand_count5(e: TypeLike, f: TypeLike, genus: int) -> int:
     smooth covers (see the README's "Known limitation" note).
     """
     e, f = _pair(e, f, (4, 5))
-    return sum(1 for d in _quintic_u(e, f, genus) if d < 0)
+    wedge2_f, target = tuple(_wedge2(f)), genus + 4
+    return sum(a + b < target for a in e for b in wedge2_f)
 
 
 # -- constraint predicates ----------------------------------------------------
@@ -230,16 +231,16 @@ class QuinticConstraints(NamedTuple):
 
 
 def constraints_5(e: TypeLike, f: TypeLike, genus: int) -> QuinticConstraints:
-    e, f = _pair(e, f, (4, 5))
+    (e1, e2, e3, e4), (f1, f2, f3, f4, f5) = _pair(e, f, (4, 5))
     target = genus + 4
-    least = e[0] + f[0] + f[1] - target  # the least of the 40 summands
+    least = e1 + f1 + f2 - target  # the least of the 40 summands
     return QuinticConstraints(  # in field order
-        sum(e) == target and sum(f) == 2 * target,
-        f[0] + f[2] + e[3] >= target,
-        f[0] + f[3] + e[2] >= target,
-        f[1] + f[2] + e[2] >= target,
+        e1 + e2 + e3 + e4 == target and f1 + f2 + f3 + f4 + f5 == 2 * target,
+        f1 + f3 + e4 >= target,
+        f1 + f4 + e3 >= target,
+        f2 + f3 + e3 >= target,
         least >= -1,
-        least >= 1 and f[0] >= 0,
+        least >= 1 and f1 >= 0,
     )
 
 

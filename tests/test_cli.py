@@ -680,17 +680,48 @@ sys.exit(code)
 """
 
 
+# The command module of each command, in help order; a launch loads its own alone.
+COMMAND_MODULES = {
+    "kappa": "cecalc.cli_hurwitz",
+    "curve-class": "cecalc.cli_hurwitz",
+    "strata": "cecalc.cli_splitting",
+    "splitting-codim": "cecalc.cli_splitting",
+    "minimize": "cecalc.cli_plmin",
+    "bound": "cecalc.cli_plmin",
+    "presentation": "cecalc.cli_hurwitz",
+    "ce-rank": "cecalc.cli_hurwitz",
+}
+
+
 def launch(argv):
     """Run the command in a fresh interpreter.
 
     Returns (exit code, loaded modules, stderr); the loaded modules are the
     cecalc layers plus ``dataclasses`` and ``json``, which no text command
-    needs.
+    needs.  Checks that the launch loaded the command module of its command
+    and neither of the other two.
     """
     proc = subprocess.run(
         [sys.executable, "-c", _LAUNCH, *argv], capture_output=True, text=True, env=CHECKOUT_ENV
     )
-    return proc.returncode, set(proc.stdout.splitlines()[-1].split()), proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert loaded & set(COMMAND_MODULES.values()) == {COMMAND_MODULES[argv[0]]}, loaded
+    return proc.returncode, loaded, proc.stderr
+
+
+@pytest.mark.parametrize("argv", ENVELOPE_CASES, ids=lambda argv: argv[0])
+def test_launch_loads_its_own_command_module_alone(argv):
+    code, _, err = launch(argv)
+    assert code == 0, err
+
+
+def test_help_lists_every_command():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cecalc", "-h"], capture_output=True, text=True, env=CHECKOUT_ENV
+    )
+    assert proc.returncode == 0
+    listed = re.findall(r"^    (\S+) +\S", proc.stdout, re.MULTILINE)
+    assert listed == list(COMMAND_MODULES) == [argv[0] for argv in ENVELOPE_CASES]
 
 
 def test_kappa_launch_loads_no_solver_and_no_splitting():

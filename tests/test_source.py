@@ -38,6 +38,9 @@ MODULES = {
     "__main__.py",
     "bundles.py",
     "cli.py",
+    "cli_hurwitz.py",
+    "cli_plmin.py",
+    "cli_splitting.py",
     "gring.py",
     "hurwitz.py",
     "plmin.py",

@@ -72,6 +72,7 @@ def test_constructors_sort_and_enumerate():
     assert sym2_type([2, 3, 4]).parts == (4, 5, 6, 6, 7, 8)
     assert len(wedge2_type([1, 2, 3, 4, 5])) == 10
     assert tensor_type([1, 2], [0, 5]).parts == (1, 2, 6, 7)
+    assert tensor_type(iter([2, 1]), iter([5, 0])).parts == (1, 2, 6, 7)
 
 
 def test_splitting_type_is_the_sorted_tuple():
@@ -258,6 +259,68 @@ def test_flags_match_their_all_summand_definitions():
         seen.add(("5", flags.in_h_prime, flags.in_h_circ))
     # every reachable combination of the two flags was exercised
     assert seen == {(k, p, c) for k in "45" for p, c in ((False, False), (True, False), (True, True))}
+
+
+def _forms(parts, rng):
+    """The parts as a SplittingType, an unsorted list, a reversed tuple and a
+    generator (each form built afresh, so the generator is unused)."""
+    shuffled = list(parts)
+    rng.shuffle(shuffled)
+    return [
+        lambda: SplittingType(parts),
+        lambda: list(shuffled),
+        lambda: tuple(sorted(parts, reverse=True)),
+        lambda: (p for p in shuffled),
+    ]
+
+
+def test_every_input_form_gives_the_inline_recount():
+    rng = random.Random(2026)
+    for _ in range(150):
+        e, f = sorted(rng.randint(-5, 9) for _ in range(3)), sorted(rng.randint(-5, 9) for _ in range(2))
+        (e1, e2, e3), (f1, f2) = e, f
+        u = _hom_f_sym2_e(e, f)
+        want = (
+            (
+                e1 + e2 + e3 == f1 + f2,
+                e1 >= 1,
+                2 * e1 >= f1,
+                2 * e2 >= f2,
+                not (e1 + e3 < f2 and 2 * e3 <= f2),
+                e1 + e3 >= f2,
+                all(d >= -1 for d in u),
+                all(d >= 1 for d in u),
+            ),
+            _recount_quartic(e, f),
+        )
+        for e_form, f_form in zip(_forms(e, rng), _forms(f, rng)):
+            got = tuple(constraints_4(e_form(), f_form())), codim_hurwitz4(e_form(), f_form())
+            assert got == want
+    for _ in range(150):
+        g = rng.randint(2, 20)
+        e = list(random_type_of_degree(rng, 4, g + 4 + rng.choice((0, 0, 1))))
+        f = list(random_type_of_degree(rng, 5, 2 * g + 8))
+        (e1, e2, e3, e4), (f1, f2, f3, f4, f5) = e, f
+        u = _quintic_summands(e, f, g)
+        flags = (
+            sum(e) == g + 4 and sum(f) == 2 * g + 8,
+            f1 + f3 + e4 >= g + 4,
+            f1 + f4 + e3 >= g + 4,
+            f2 + f3 + e3 >= g + 4,
+            all(d >= -1 for d in u),
+            all(d >= 1 for d in u) and f1 >= 0,
+        )
+        negative = sum(1 for d in u if d < 0)
+        for e_form, f_form in zip(_forms(e, rng), _forms(f, rng)):
+            assert tuple(constraints_5(e_form(), f_form(), g)) == flags
+            assert negative_summand_count5(e_form(), f_form(), g) == negative
+            if flags[0]:
+                assert codim_hurwitz5(e_form(), f_form(), g) == _recount_quintic(e, f, g)
+    for e_form in _forms([1, 2, 3], rng):
+        for call in (constraints_5, negative_summand_count5, codim_hurwitz5):
+            with pytest.raises(ValueError) as exc:
+                call(e_form(), [1, 2, 3, 4, 5], 5)
+            assert str(exc.value) == "need ranks (4, 5), got (3, 5)"
 
 
 # -- strata enumeration ---------------------------------------------------------------

@@ -57,9 +57,12 @@ def test_trace_records_the_layer_span(tmp_path, argv, span):
 
 
 def test_trace_counts_the_quartic_constraint_calls(tmp_path):
-    trace = traced(tmp_path, ["strata", "-k", "4", "-g", "8", "--filter", "all"])
-    assert trace["counts"]["splitting.constraints_4"] > 0
-    assert trace["counts"]["splitting.strata_rows"] > 0
+    # At g = 8 there are 10 sorted e and 5 sorted f; the irreducible view
+    # visits only the 8 pairs inside the pencil bounds and keeps 6.
+    for filter, visited, rows in (("all", 50, 50), ("irreducible", 8, 6)):
+        trace = traced(tmp_path, ["strata", "-k", "4", "-g", "8", "--filter", filter])
+        assert trace["counts"]["splitting.constraints_4"] == visited
+        assert trace["counts"]["splitting.strata_rows"] == rows
 
 
 def test_trace_wraps_the_class_stack_names(tmp_path):
