@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 from typing import Optional
 
 from . import MAX_DIGITS, check_digits, fits
-from .cli import Report, add_json
+from .cli import JSON, Report
 
 
-def _genus(args: argparse.Namespace) -> Optional[int]:
+def _genus(args: SimpleNamespace) -> Optional[int]:
     """The --genus value, or None (a symbolic genus) under --symbolic."""
     if args.symbolic:
         if args.genus is not None:
@@ -20,7 +20,7 @@ def _genus(args: argparse.Namespace) -> Optional[int]:
     return args.genus
 
 
-def _cmd_kappa(args: argparse.Namespace) -> Report:
+def _cmd_kappa(args: SimpleNamespace) -> Report:
     from . import hurwitz
 
     genus = _genus(args)
@@ -38,7 +38,7 @@ def _cmd_kappa(args: argparse.Namespace) -> Report:
     return inputs, output, [f"kappa_{args.index} = {text}"]
 
 
-def _cmd_curve_class(args: argparse.Namespace) -> Report:
+def _cmd_curve_class(args: SimpleNamespace) -> Report:
     from . import hurwitz
     from .bundles import fiber_text
 
@@ -58,7 +58,7 @@ def _cmd_curve_class(args: argparse.Namespace) -> Report:
     return inputs, {"coefficients": coeffs}, lines
 
 
-def _cmd_presentation(args: argparse.Namespace) -> Report:
+def _cmd_presentation(args: SimpleNamespace) -> Report:
     from . import hurwitz
 
     generators, degree_bound = hurwitz.presentation(args.k, args.genus)
@@ -73,39 +73,37 @@ def _cmd_presentation(args: argparse.Namespace) -> Report:
     return inputs, output, lines
 
 
-def _cmd_ce_rank(args: argparse.Namespace) -> Report:
+def _cmd_ce_rank(args: SimpleNamespace) -> Report:
     from . import hurwitz
 
     rank = hurwitz.ce_rank(args.index, args.k)
     return {"k": args.k, "i": args.index}, {"rank": rank}, [f"rank(F_{args.index}) = {rank}"]
 
 
-def add_arguments(name: str, p: argparse.ArgumentParser) -> None:
-    """Give ``p``, the subparser of the command ``name``, its arguments and handler."""
-    if name == "kappa":
-        p.add_argument("-k", type=int, choices=(3, 4, 5), required=True)
-        p.add_argument("-i", "--index", type=int, required=True)
-        p.add_argument("-g", "--genus", type=int)
-        p.add_argument("--symbolic", action="store_true", help="keep the genus symbolic")
-        p.set_defaults(handler=_cmd_kappa)
-    elif name == "curve-class":
-        p.add_argument("-k", type=int, choices=(3, 4, 5), required=True)
-        p.add_argument("-g", "--genus", type=int)
-        p.add_argument("--symbolic", action="store_true")
-        p.set_defaults(handler=_cmd_curve_class)
-    elif name == "presentation":
-        p.add_argument("-k", type=int, choices=(3, 4, 5), required=True)
-        p.add_argument("-g", "--genus", type=int, required=True)
-        p.set_defaults(handler=_cmd_presentation)
-    else:
-        p.add_argument("-k", type=int, required=True)
-        p.add_argument("-i", "--index", type=int, required=True)
-        p.set_defaults(handler=_cmd_ce_rank)
-    add_json(p)
-    if name in ("kappa", "curve-class"):
-        p.add_argument(
-            "--truncation",
-            type=int,
-            default=None,
-            help="ring truncation order: a checked lower bound, the output does not depend on it",
-        )
+# Each command's handler and argument table, whose rows are the flags and
+# keywords of argparse's add_argument; ``cli`` reads it (see ``cli.arguments``).
+_DEGREE = ("-k",), {"type": int, "choices": (3, 4, 5), "required": True}
+_INDEX = ("-i", "--index"), {"type": int, "required": True}
+_GENUS = ("-g", "--genus"), {"type": int}
+_TRUNCATION = ("--truncation",), {
+    "type": int,
+    "default": None,
+    "help": "ring truncation order: a checked lower bound, the output does not depend on it",
+}
+ARGUMENTS = {
+    "kappa": (_cmd_kappa, [
+        _DEGREE,
+        _INDEX,
+        _GENUS,
+        (("--symbolic",), {"action": "store_true", "help": "keep the genus symbolic"}),
+        JSON,
+        _TRUNCATION,
+    ]),
+    "curve-class": (_cmd_curve_class, [
+        _DEGREE, _GENUS, (("--symbolic",), {"action": "store_true"}), JSON, _TRUNCATION,
+    ]),
+    "presentation": (_cmd_presentation, [
+        _DEGREE, (("-g", "--genus"), {"type": int, "required": True}), JSON,
+    ]),
+    "ce-rank": (_cmd_ce_rank, [(("-k",), {"type": int, "required": True}), _INDEX, JSON]),
+}

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from . import MAX_DIGITS, check_digits
-from .cli import Report, add_json
+from .cli import JSON, Report
 
 
-def _cmd_minimize(args: argparse.Namespace) -> Report:
+def _cmd_minimize(args: SimpleNamespace) -> Report:
     from . import plmin
 
     if bool(args.preset) == bool(args.spec_file):
@@ -50,7 +50,7 @@ def _cmd_minimize(args: argparse.Namespace) -> Report:
     return {"source": args.preset or args.spec_file}, output, [f"min = {output['min']} at [{pts}]"]
 
 
-def _cmd_bound(args: argparse.Namespace) -> Report:
+def _cmd_bound(args: SimpleNamespace) -> Report:
     from . import plmin
 
     value = plmin.bound(args.k, args.genus, args.case)
@@ -58,16 +58,19 @@ def _cmd_bound(args: argparse.Namespace) -> Report:
     return inputs, {"bound": str(value)}, [f"bound = {value}"]
 
 
-def add_arguments(name: str, p: argparse.ArgumentParser) -> None:
-    """Give ``p``, the subparser of the command ``name``, its arguments and handler."""
-    if name == "minimize":
+# Each command's handler and argument table, whose rows are the flags and
+# keywords of argparse's add_argument; ``cli`` reads it (see ``cli.arguments``).
+ARGUMENTS = {
+    "minimize": (_cmd_minimize, [
         # Checked by plmin.preset, so that parsing does not load the solver.
-        p.add_argument("--preset", help="name of a bundled program, e.g. lemma_b4")
-        p.add_argument("--spec-file", help="JSON problem description")
-        p.set_defaults(handler=_cmd_minimize)
-    else:
-        p.add_argument("-k", type=int, choices=(4, 5), required=True)
-        p.add_argument("-g", "--genus", type=int, required=True)
-        p.add_argument("--case", choices=("B_circ", "H_circ"), required=True)
-        p.set_defaults(handler=_cmd_bound)
-    add_json(p)
+        (("--preset",), {"help": "name of a bundled program, e.g. lemma_b4"}),
+        (("--spec-file",), {"help": "JSON problem description"}),
+        JSON,
+    ]),
+    "bound": (_cmd_bound, [
+        (("-k",), {"type": int, "choices": (4, 5), "required": True}),
+        (("-g", "--genus"), {"type": int, "required": True}),
+        (("--case",), {"choices": ("B_circ", "H_circ"), "required": True}),
+        JSON,
+    ]),
+}

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from . import check_digits
-from .cli import Report, add_json
+from .cli import JSON, Report
 
 
-def _cmd_strata(args: argparse.Namespace) -> Report:
+def _cmd_strata(args: SimpleNamespace) -> Report:
     from . import splitting
 
     if args.k != 4:
@@ -45,7 +45,7 @@ def _cmd_strata(args: argparse.Namespace) -> Report:
     return inputs, {}, lines
 
 
-def _cmd_splitting_codim(args: argparse.Namespace) -> Report:
+def _cmd_splitting_codim(args: SimpleNamespace) -> Report:
     from . import splitting
 
     def parse(flag: str, text: str) -> splitting.SplittingType:
@@ -69,19 +69,23 @@ def _cmd_splitting_codim(args: argparse.Namespace) -> Report:
     return inputs, {"codim": codim}, [f"codim = {codim}"]
 
 
-def add_arguments(name: str, p: argparse.ArgumentParser) -> None:
-    """Give ``p``, the subparser of the command ``name``, its arguments and handler."""
-    if name == "strata":
-        p.add_argument("-k", type=int, default=4)
-        p.add_argument("-g", "--genus", type=int, required=True)
-        p.add_argument(
-            "--filter", choices=("all", "irreducible", "non_factoring"), default="irreducible"
-        )
-        p.set_defaults(handler=_cmd_strata)
-    else:
-        p.add_argument("-k", type=int, choices=(4, 5), required=True)
-        p.add_argument("--e", required=True, help="comma-separated integers, e.g. 1,4,4")
-        p.add_argument("--f", required=True, help="comma-separated integers, e.g. 2,7")
-        p.add_argument("-g", "--genus", type=int)
-        p.set_defaults(handler=_cmd_splitting_codim)
-    add_json(p)
+# Each command's handler and argument table, whose rows are the flags and
+# keywords of argparse's add_argument; ``cli`` reads it (see ``cli.arguments``).
+ARGUMENTS = {
+    "strata": (_cmd_strata, [
+        (("-k",), {"type": int, "default": 4}),
+        (("-g", "--genus"), {"type": int, "required": True}),
+        (
+            ("--filter",),
+            {"choices": ("all", "irreducible", "non_factoring"), "default": "irreducible"},
+        ),
+        JSON,
+    ]),
+    "splitting-codim": (_cmd_splitting_codim, [
+        (("-k",), {"type": int, "choices": (4, 5), "required": True}),
+        (("--e",), {"required": True, "help": "comma-separated integers, e.g. 1,4,4"}),
+        (("--f",), {"required": True, "help": "comma-separated integers, e.g. 2,7"}),
+        (("-g", "--genus"), {"type": int}),
+        JSON,
+    ]),
+}

@@ -20,19 +20,21 @@ cover forces, and the degree-4 enumeration reproduces the full stratum
 table of a given genus.
 
 Each public function validates its pair once, with ``_pair``, into sorted
-tuples of ints: a ``SplittingType`` passes as it is, and nothing else is
-built into one, so the plain tuples of a Pfaffian sweep cost no type
-construction.  The formulas then unpack the parts once.  The degree-4
-enumeration builds each type once, sorted, with its h1(End), and calls the
-module-global ``constraints_4`` once for each pair it visits (the
-benchmark tracer counts the visited pairs by wrapping that name); each
-row's codimension is ``_codim4`` on the summands of Sym^2 e.
+tuples of ints, each part read with ``operator.index`` so that a float or
+a string is refused rather than truncated.  A ``SplittingType`` passes as
+it is, and nothing else is built into one, so the plain tuples of a
+Pfaffian sweep cost no type construction.  The formulas then unpack the
+parts once.  The degree-4 enumeration builds each type once, sorted, with
+its h1(End), and calls the module-global ``constraints_4`` once for each
+pair it visits (the benchmark tracer counts the visited pairs by wrapping
+that name); each row's codimension is ``_codim4`` on the summands of
+Sym^2 e.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import MAX_DIGITS, check_digits, fits
@@ -40,13 +42,29 @@ from . import MAX_DIGITS, check_digits, fits
 TypeLike = Sequence[int]
 
 
+def _sorted_ints(parts: Sequence[int]) -> list[int]:
+    """The parts, sorted, each read with ``operator.index``: an int (or a
+    bool) passes, and a part that is not an integer, such as 1.7 or '1',
+    raises ValueError naming it, where ``int`` would truncate or parse it."""
+    try:
+        return sorted(map(index, parts))
+    except TypeError:
+        for part in parts:
+            try:
+                index(part)
+            except TypeError:
+                raise ValueError(f"splitting type part {part!r} is not an integer") from None
+        raise
+
+
 class SplittingType(tuple):
-    """A splitting type: the sorted tuple of its int-coerced parts."""
+    """A splitting type: the sorted tuple of its parts, each an integer
+    (ValueError naming a part that is not)."""
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]):
-        return super().__new__(cls, sorted(map(int, parts)))
+        return super().__new__(cls, _sorted_ints(tuple(parts)))
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -94,9 +112,10 @@ def wedge2_type(t: TypeLike) -> SplittingType:
 
 def _pair(e: TypeLike, f: TypeLike, ranks: tuple[int, int]) -> tuple:
     """(e, f) as sorted tuples of ints, each SplittingType as it is, without
-    building one; ValueError unless their ranks are ``ranks``."""
-    e = e if isinstance(e, SplittingType) else tuple(sorted(map(int, e)))
-    f = f if isinstance(f, SplittingType) else tuple(sorted(map(int, f)))
+    building one; ValueError unless their parts are integers and their ranks
+    are ``ranks``."""
+    e = e if isinstance(e, SplittingType) else tuple(_sorted_ints(e))
+    f = f if isinstance(f, SplittingType) else tuple(_sorted_ints(f))
     if (len(e), len(f)) != ranks:
         raise ValueError(f"need ranks {ranks}, got ({len(e)}, {len(f)})")
     return e, f

@@ -1,6 +1,8 @@
 """Command-line surface: golden outputs, JSON mode, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cecalc.cli import build_parser, main
+from cecalc.cli import arguments, build_parser, main, read_plain
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -108,13 +110,156 @@ def _exit_and_streams(capsys, parse, argv):
         ["kapa", "-k", "4"],
         ["-h"],
         ["--json", "minimize"],
+        # forms the plain reader leaves to argparse
+        ["kappa", "-k", "4", "--gen", "7"],
+        ["kappa", "-k4", "-i", "x", "--genus", "7"],
+        ["kappa", "-k", "4", "-k", "5", "-i", "1", "--genus", "7", "extra"],
+        ["kappa", "-k", "4", "-i", "1", "--genus", "7", "--json=1"],
+        ["splitting-codim", "-k", "4", "--e", "-1,4,4", "--f", "2,7"],
     ],
-    ids=["extra", "invalid_choice", "missing", "command_help", "none", "unknown", "help", "option_first"],
+    ids=[
+        "extra", "invalid_choice", "missing", "command_help", "none", "unknown", "help", "option_first",
+        "abbreviation", "attached_value", "repeated_flag", "switch_with_value", "dash_value",
+    ],
 )
 def test_one_command_parser_reads_as_the_full_parser(capsys, argv):
     # main builds only the subparser argv[0] names; its texts must not show it
     want = _exit_and_streams(capsys, build_parser().parse_args, argv)
     assert _exit_and_streams(capsys, main, argv) == want
+
+
+def _word(keywords):
+    """A valid value of an option, as a command-line word."""
+    if "choices" in keywords:
+        return str(keywords["choices"][-1])
+    return "7" if keywords.get("type") is int else "1,4,4"
+
+
+def command_lines(command):
+    """(argv, plain) pairs for ``command``: every flag in every spelling, and
+    the forms the plain reader must leave to argparse; ``plain`` says
+    whether ``read_plain`` must read the line."""
+    _, rows = arguments(command)
+
+    def without(left_out):
+        return [command] + [
+            word
+            for flags, keywords in rows
+            if keywords.get("required") and flags != left_out
+            for word in (flags[0], _word(keywords))
+        ]
+
+    base = without(None)
+    yield base, True
+    yield base + ["extra"], False
+    yield base + ["--"], False
+    yield base + ["-h"], False
+    yield base + ["--no-such-flag"], False
+    for flags, keywords in rows:
+        rest = without(flags)
+        if keywords.get("required"):
+            yield rest, False
+        if keywords.get("action") == "store_true":
+            (flag,) = flags
+            yield rest + [flag], True
+            yield rest + [flag + "=1"], False
+            yield rest + [flag, flag], False
+            yield rest + [flag[:-1]], False
+            continue
+        word = _word(keywords)
+        for flag in flags:
+            yield rest + [flag, word], True
+            yield rest + [flag, word, flag, word], False
+            yield rest + [flag], False
+            yield rest + [flag, "-1"], False
+            if flag.startswith("--"):
+                yield rest + [f"{flag}={word}"], True
+                yield rest + [f"{flag}=-1"], "choices" not in keywords
+                yield rest + [f"{flag}="], keywords.get("type") is not int and "choices" not in keywords
+                if len(flag) > 3:
+                    yield rest + [flag[:-1], word], False
+            else:
+                yield rest + [flag + word], False
+                yield rest + [f"{flag}={word}"], False
+            if keywords.get("type") is int:
+                yield rest + [flag, "x"], False
+                yield rest + [flag, "1.5"], False
+            if "choices" in keywords:
+                yield rest + [flag, "6" if keywords.get("type") is int else "nope"], False
+
+
+def _argparse_reads(parser, argv):
+    """vars of the full parser's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("command", [argv[0] for argv in ENVELOPE_CASES])
+def test_plain_reader_reads_as_argparse_or_declines(command):
+    parser = build_parser()
+    lines = list(command_lines(command))
+    assert sum(plain for _, plain in lines) >= 2 and sum(not plain for _, plain in lines) >= 5
+    for argv, plain in lines:
+        got = read_plain(argv)
+        assert (got is not None) == plain, argv
+        if plain:
+            assert vars(got) == _argparse_reads(parser, argv), argv
+
+
+def _workload_command_lines(tmp_path):
+    """Every cecalc command line of the benchmark's four workloads at one seed."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [
+        op.argv
+        for make in WORKLOADS.values()
+        for op in make(random.Random(20261017), ROOT, tmp_path)
+        if op.argv
+    ]
+
+
+def test_every_envelope_golden_and_benchmark_command_line_is_plain(tmp_path):
+    bench = _workload_command_lines(tmp_path)
+    spellings = {word.partition("=")[0] for argv in bench for word in argv if word.startswith("--")}
+    assert {"--e", "--f", "--truncation", "--spec-file"} <= spellings
+    assert any(word.startswith("--e=-") for argv in bench for word in argv)
+    parser = build_parser()
+    for argv in ENVELOPE_CASES + [argv for _, argv in GOLDEN_CASES] + bench:
+        got = read_plain(argv)
+        assert got is not None, argv
+        assert vars(got) == _argparse_reads(parser, argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["kapa", "-k", "4"], ["--json", "minimize"], ["KAPPA"], ["kappa=1"]],
+    ids=["none", "help", "unknown", "option_first", "case", "equals"],
+)
+def test_plain_reader_leaves_anything_but_a_command_first_to_argparse(argv):
+    assert read_plain(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv,plain",
+    [
+        (["kappa", "-k4", "-i", "1", "--gen", "7"], ["kappa", "-k", "4", "-i", "1", "--genus", "7"]),
+        (
+            ["kappa", "-k", "5", "-k", "4", "-i", "1", "--genus", "7"],
+            ["kappa", "-k", "4", "-i", "1", "--genus", "7"],
+        ),
+        (["ce-rank", "-k", "5", "--ind", "2", "--json", "--json"], ["ce-rank", "-k", "5", "-i", "2", "--json"]),
+    ],
+    ids=["abbreviated", "repeated", "repeated_switch"],
+)
+def test_forms_left_to_argparse_run_as_their_plain_spelling(capsys, argv, plain):
+    assert read_plain(argv) is None and read_plain(plain) is not None
+    assert run_cli(capsys, argv) == run_cli(capsys, plain)
 
 
 @pytest.mark.parametrize("argv", ENVELOPE_CASES, ids=lambda argv: argv[0])
@@ -757,6 +902,44 @@ def test_ce_rank_refuses_ranks_over_the_digit_cap_fast(capsys):
     # 4231 digits: below the cap, printed in full
     rank = 6999 * 6999 * comb(14000, 7000) // 13999
     assert run_cli(capsys, ["ce-rank", "-k", "14000", "-i", "6999"]) == (0, f"rank(F_6999) = {rank}\n")
+
+
+def imported(argv):
+    """Exit code and the modules a fresh ``python -m cecalc`` launch imports,
+    read from ``-X importtime``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cecalc", *argv],
+        capture_output=True,
+        text=True,
+        env=CHECKOUT_ENV,
+    )
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+PARSER_STACK = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "-k", "4", "-i", "3", "--genus", "7"],
+        ["splitting-codim", "-k", "4", "--e=1,4,4", "--f=2,7"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_plain_launch_loads_no_argparse(argv):
+    code, modules = imported(argv)
+    assert code == 0
+    assert f"cecalc.{COMMAND_MODULES[argv[0]].split('.')[1]}" in modules
+    assert not modules & PARSER_STACK
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["kappa", "-k", "4", "--gen", "7"]], ids=["help", "abbreviation"])
+def test_help_and_fallback_launches_load_argparse(argv):
+    code, modules = imported(argv)
+    assert code in (0, 2)
+    assert PARSER_STACK <= modules
 
 
 def test_json_launch_loads_json():

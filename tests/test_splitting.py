@@ -91,6 +91,30 @@ def test_splitting_type_is_the_sorted_tuple():
     assert SplittingType([-4, 0, -1, 7]).text() == "-4,-1,0,7"
 
 
+@pytest.mark.parametrize("part", [1.7, "1", 2.9])
+def test_a_part_that_is_not_an_integer_is_refused_by_name(part):
+    # int() would truncate 1.7 to 1 or parse '1', and answer for another type
+    message = f"splitting type part {part!r} is not an integer"
+    calls = [
+        lambda: SplittingType([part, 4, 4]),
+        lambda: SplittingType(iter([4, part])),
+        lambda: codim_hurwitz4([part, 4, 4], [2, 7]),
+        lambda: codim_hurwitz4([1, 4, 4], [2, part]),
+        lambda: constraints_4((1, 4, part), (2, 7)),
+        lambda: codim_hurwitz5([1, 1, 1, part], [1, 1, 2, 2, 4], 2),
+        lambda: constraints_5((1, 1, 1, 3), (1, 1, 2, 2, part), 2),
+        lambda: negative_summand_count5([part, 1, 1, 3], (1, 1, 2, 2, 4), 2),
+        lambda: sym2_type([part, 2]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    # a bool is an int, as operator.index reads it
+    assert SplittingType([2, True]) == (1, 2)
+    assert codim_hurwitz4([True, 4, 4], [2, 7]) == codim_hurwitz4([1, 4, 4], [2, 7])
+
+
 def test_sym2_and_wedge2_partition_the_square():
     rng = random.Random(8)
     for _ in range(100):
