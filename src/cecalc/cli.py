@@ -28,6 +28,7 @@ document.
 
 from __future__ import annotations
 
+import os
 import sys
 from itertools import islice
 from types import SimpleNamespace
@@ -208,5 +209,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> None:
+    """Run ``main`` as a program and end the process at its answer.
+
+    The launch of ``python -m cecalc``, ``python -m cecalc.cli`` and the
+    ``cecalc`` script.  It does what interpreter shutdown does that a
+    caller can see: it runs the atexit handlers, as shutdown does first,
+    and flushes stdout and stderr.  Then it ends the process with
+    ``os._exit``, which skips the rest of shutdown: clearing the modules,
+    the last garbage collection and freeing every object.  Under a trace
+    or profile hook (cProfile, trace, pdb, coverage), or if a flush fails,
+    it raises ``SystemExit`` instead, so the process exits through normal
+    shutdown, which writes the hook's report or the flush error as it
+    always has.  A ``SystemExit`` from argparse takes the normal path too.
+    """
+    code = main()
+    # From Python 3.12 on, cProfile hooks in through sys.monitoring (tools 0-5).
+    monitoring = getattr(sys, "monitoring", None)
+    if sys.gettrace() or sys.getprofile() or (monitoring and any(map(monitoring.get_tool, range(6)))):
+        raise SystemExit(code)
+    import atexit
+
+    atexit._run_exitfuncs()  # shutdown's own call; it clears the handlers
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # no stream, a closed pipe, a full disk
+        raise SystemExit(code) from None  # shutdown flushes again and reports it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -41,6 +41,11 @@ from .gring import GradedPoly, RingSpec
 
 SUPPORTED_DEGREES = (3, 4, 5)
 
+# The largest kappa index computed at each degree.  The cost grows fast with
+# i and tracks no term count; symbolic kappa_i at the limit takes about 3 s
+# (2 CPUs, Python 3.11), and kappa_i at a small numeric genus less.
+KAPPA_INDEX_LIMIT = {3: 30, 4: 20, 5: 16}
+
 
 def ce_rank(i: int, k: int) -> int:
     """Rank of the i-th syzygy bundle in the length-(k-2) resolution.
@@ -250,7 +255,10 @@ def curve_class_value(k: int, genus: Union[int, None], truncation: int) -> ZetaC
 
 def kappa_value(k: int, i: int, genus: Union[int, None], truncation: Optional[int] = None) -> GradedPoly:
     """Build a setup and return the kappa_i polynomial in the truncation-T
-    ring; the default T is i + k + 2."""
+    ring; the default T is i + k + 2.  An index past ``KAPPA_INDEX_LIMIT``
+    is refused before any ring is built."""
+    if i > KAPPA_INDEX_LIMIT.get(k, i):
+        raise ValueError(f"kappa index i = {i} at k = {k} is past the limit of {KAPPA_INDEX_LIMIT[k]}")
     if truncation is None:
         truncation = i + k + 2
     return kappa(ce_setup(k, genus, truncation), i).polynomial

@@ -891,6 +891,27 @@ def test_text_launch_loads_no_dataclasses_and_no_json(argv):
     assert not loaded & {"dataclasses", "json"}
 
 
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (
+            ["kappa", "-k", "3", "-i", "100000000000", "-g", "5"],
+            "i = 100000000000 at k = 3 is past the limit of 30",
+        ),
+        (["kappa", "-k", "5", "-i", "18", "--symbolic"], "i = 18 at k = 5 is past the limit of 16"),
+        (["kappa", "-k", "4", "-i", "21", "-g", "9", "--json"], "i = 21 at k = 4 is past the limit of 20"),
+    ],
+    ids=["k3-huge", "k5-symbolic", "k4-json"],
+)
+def test_kappa_refuses_an_index_past_its_limit_fast(argv, text):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cecalc", *argv], capture_output=True, text=True, env=CHECKOUT_ENV, timeout=5
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: kappa index {text}\n")
+
+
 def test_ce_rank_refuses_ranks_over_the_digit_cap_fast(capsys):
     start = time.perf_counter()
     code, _, err = launch(["ce-rank", "-k", "1000000", "-i", "500000"])
@@ -967,3 +988,149 @@ def test_fresh_launch_exit_codes_for_bad_and_unsolvable_programs(tmp_path):
         code, _, err = launch(["minimize", "--spec-file", str(path)])
         assert code == 3, err
         assert err.startswith("error: ")
+
+
+# -- the launch: a fresh process ends at its answer ------------------------------
+
+# The launch before ``cli.run``: return from ``main`` through normal shutdown.
+_SHUTDOWN_LAUNCH = "import sys; from cecalc.cli import main; sys.exit(main())"
+STRATA_JSON = ["strata", "-k", "4", "-g", "60", "--filter", "all", "--json"]
+
+
+def launch_env(unbuffered):
+    env = {k: v for k, v in CHECKOUT_ENV.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def cecalc(*argv, unbuffered=False):
+    return subprocess.run(
+        [sys.executable, "-m", "cecalc", *argv], capture_output=True, text=True, env=launch_env(unbuffered)
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_launch_through_a_pipe_prints_what_main_prints(capsys, unbuffered):
+    code, out = run_cli(capsys, STRATA_JSON)
+    assert code == 0
+    proc = cecalc(*STRATA_JSON, unbuffered=unbuffered)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+def test_launch_exit_codes_arrive_unchanged(tmp_path, capsys):
+    proc = cecalc("presentation", "-k", "4", "-g", "6")
+    golden = (GOLDEN / "presentation_k4_g6.txt").read_text()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden, "")
+    bad_k = ["kappa", "-k", "6", "-i", "0", "--genus", "5"]  # argparse's SystemExit
+    proc = cecalc(*bad_k)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    with pytest.raises(SystemExit) as exc:
+        main(bad_k)
+    assert exc.value.code == 2
+    assert proc.stderr == capsys.readouterr().err and "invalid choice" in proc.stderr
+    proc = cecalc("minimize", "--preset", "no_such_program")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert main(["minimize", "--preset", "no_such_program"]) == 2
+    assert proc.stderr == capsys.readouterr().err
+    path = tmp_path / "infeasible.json"
+    path.write_text(json.dumps({"vars": 1, "le": [["1", "0"], ["-1", "-1"]], "obj": {"lin": ["1"]}}))
+    proc = cecalc("minimize", "--spec-file", str(path))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert main(["minimize", "--spec-file", str(path)]) == 3
+    assert proc.stderr == capsys.readouterr().err
+
+
+def failing_stdout_launch(launcher, argv, unbuffered, sink):
+    """Exit code and stderr of a launch whose stdout refuses every write:
+    a pipe with no reader, or /dev/full."""
+    if sink == "closed-pipe":
+        read, write = os.pipe()
+        os.close(read)
+    else:
+        write = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *launcher, *argv], stdout=write, stderr=subprocess.PIPE, text=True,
+            env=launch_env(unbuffered),
+        )
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "sink,error",
+    [("closed-pipe", "[Errno 32] Broken pipe"), ("dev-full", "[Errno 28] No space")],
+    ids=["closed-pipe", "dev-full"],
+)
+@pytest.mark.parametrize(
+    "argv,unbuffered,code",
+    [
+        (STRATA_JSON, True, 2),
+        (STRATA_JSON, False, 2),  # the document overflows the buffer inside main
+        (["ce-rank", "-k", "5", "-i", "2"], True, 2),
+        (["ce-rank", "-k", "5", "-i", "2"], False, 120),  # shutdown's flush fails
+    ],
+    ids=["strata-unbuffered", "strata-buffered", "ce-rank-unbuffered", "ce-rank-buffered"],
+)
+def test_failing_stdout_exits_as_through_normal_shutdown(argv, unbuffered, code, sink, error):
+    launched = failing_stdout_launch(["-m", "cecalc"], argv, unbuffered, sink)
+    assert launched == failing_stdout_launch(["-c", _SHUTDOWN_LAUNCH], argv, unbuffered, sink)
+    assert launched[0] == code
+    if code == 2:
+        assert launched[1].startswith(f"error: {error}")
+    else:
+        assert launched[1].startswith("Exception ignored") and error in launched[1]
+
+
+def test_profiled_launch_prints_its_profile_after_the_answer():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "cecalc", "ce-rank", "-k", "5", "-i", "2"],
+        capture_output=True, text=True, env=CHECKOUT_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rank(F_2) = 5\n")
+    assert re.search(r"^ +\d+ function calls", proc.stdout, re.MULTILINE)
+
+
+# A module global whose finalizer interpreter teardown runs.  ``run``'s launch
+# ends before teardown, unless a trace hook watches it.
+_RUNPY_LAUNCH = """
+import atexit, os, runpy, sys
+atexit.register(print, "atexit handler ran")
+class Torn:
+    def __del__(self, write=os.write):  # teardown may clear os first
+        write(2, b"torn down")
+torn = Torn()
+if sys.argv[1] == "traced":
+    sys.settrace(lambda *args: None)
+sys.argv = ["cecalc", "ce-rank", "-k", "5", "-i", "2"]
+runpy.run_module("cecalc", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_launch_runs_the_atexit_handlers_and_skips_teardown(unbuffered):
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNPY_LAUNCH, "plain"], capture_output=True, text=True,
+        env=launch_env(unbuffered),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rank(F_2) = 5\natexit handler ran\n", "")
+
+
+def test_traced_launch_exits_through_normal_shutdown():
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNPY_LAUNCH, "traced"], capture_output=True, text=True, env=CHECKOUT_ENV
+    )
+    want = (0, "rank(F_2) = 5\natexit handler ran\n", "torn down")
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+def test_console_script_runs_the_launch_of_python_m_cecalc():
+    # Read as text: Python 3.10 has no tomllib.
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1]
+    target = re.match(r'cecalc = "cecalc\.cli:(\w+)"\n', scripts).group(1)
+    source = ROOT / "src" / "cecalc"
+    assert (source / "__main__.py").read_text() == (
+        f'from .cli import {target}\n\nif __name__ == "__main__":\n    {target}()\n'
+    )
+    assert (source / "cli.py").read_text().endswith(f'\n\nif __name__ == "__main__":\n    {target}()\n')

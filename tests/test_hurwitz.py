@@ -4,6 +4,7 @@ import pytest
 
 from cecalc.bundles import ZetaClass, dual, fiber_text, push_gamma, split
 from cecalc.hurwitz import (
+    KAPPA_INDEX_LIMIT,
     ce_rank,
     ce_setup,
     curve_class,
@@ -199,6 +200,21 @@ def test_kappa_value_rejects_too_small_truncation_like_kappa():
         kappa_value(3, 0, 6, truncation=1)
     with pytest.raises(ValueError, match="kappa index must be >= 0"):
         kappa_value(3, -1, 6)
+
+
+def test_kappa_value_refuses_an_index_past_its_limit_before_building_a_ring(monkeypatch):
+    assert KAPPA_INDEX_LIMIT == {3: 30, 4: 20, 5: 16}
+    assert len(kappa_value(3, 30, 7).terms) == 816  # the limit itself is computed
+
+    def no_ring(*args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr("cecalc.hurwitz.ce_setup", no_ring)
+    for k, limit in KAPPA_INDEX_LIMIT.items():
+        for genus in (7, None):
+            text = rf"^kappa index i = {limit + 1} at k = {k} is past the limit of {limit}$"
+            with pytest.raises(ValueError, match=text):
+                kappa_value(k, limit + 1, genus, truncation=limit + k + 3)
 
 
 def test_kappa_rejects_too_small_truncation():
