@@ -22,8 +22,9 @@ help, usage and error text, goes to the argparse parser that
 ``build_parser`` builds from the same table.  So a plain launch never
 loads argparse.  A handler maps the parsed arguments to its report
 ``(inputs, output, lines)``: the JSON document's two dicts and the text
-report's lines.  Only ``main`` prints, and it alone builds the JSON
-document.
+report's lines, any iterable of them.  Only ``main`` prints, and it alone
+builds the JSON document.  It writes either report in blocks, so that a
+large one is never held as one string.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import os
 import sys
 from itertools import islice
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     import argparse
@@ -51,7 +52,7 @@ CITE = {
     "ce-rank": ["ce-resolution-ranks"],
 }
 
-Report = tuple[dict, dict, list[str]]
+Report = tuple[dict, dict, Iterable[str]]
 
 # Each command's module and help line, in the order the help lists them.
 COMMANDS = {
@@ -196,7 +197,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 sys.stdout.write(block)
             sys.stdout.write("\n")
         else:
-            print("\n".join(lines))
+            # The same for the lines, each block ending in a newline.
+            lines = iter(lines)
+            while block := list(islice(lines, 1 << 14)):
+                block.append("")
+                sys.stdout.write("\n".join(block))
         return 0
     except _no_solution_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)

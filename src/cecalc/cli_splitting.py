@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from types import SimpleNamespace
 
 from . import check_digits
@@ -15,34 +17,32 @@ def _cmd_strata(args: SimpleNamespace) -> Report:
         raise ValueError("strata enumeration is implemented for k = 4 only")
     records = splitting.enumerate_strata4(args.genus, args.filter)
     inputs = {"k": 4, "genus": args.genus, "filter": args.filter}
-    # A table repeats each type in many rows, so render each type once.
-    text = {t: t.text() for t in {r.e for r in records} | {r.f for r in records}}
+    # A table repeats each type and each flags value in many rows, so
+    # render each once.
+    types = {*map(itemgetter(0), records), *map(itemgetter(1), records)}
+    text = {t: t.text() for t in types}
+    marks = {
+        flags: (flags.irreducible_ok, flags.non_factoring_ok, flags.in_h_prime, flags.in_h_circ)
+        for flags in set(map(itemgetter(3), records))
+    }
     lines = [
         f"degree-4 strata at genus {args.genus} (filter: {args.filter})",
         "e | f | codim | irreducible | non_factoring | H_prime | H_circ",
     ]
     if args.json:
+        names = ("irreducible", "non_factoring", "in_H_prime", "in_H_circ")
+        fields = {flags: dict(zip(names, values)) for flags, values in marks.items()}
         rows = [
-            {
-                "e": text[r.e],
-                "f": text[r.f],
-                "codim": r.codim,
-                "irreducible": r.flags.irreducible_ok,
-                "non_factoring": r.flags.non_factoring_ok,
-                "in_H_prime": r.flags.in_h_prime,
-                "in_H_circ": r.flags.in_h_circ,
-            }
-            for r in records
+            {"e": text[e], "f": text[f], "codim": codim, **fields[flags]}
+            for e, f, codim, flags in records
         ]
         return inputs, {"strata": rows}, lines
-    # main prints only the lines of a text report, so it gets no rows.
+    # main prints only the lines of a text report, so it gets no rows; it
+    # writes them in blocks as this generator yields them.
     yes = {True: "yes", False: "no"}
-    lines += [
-        f"{text[r.e]} | {text[r.f]} | {r.codim} | {yes[r.flags.irreducible_ok]} | "
-        f"{yes[r.flags.non_factoring_ok]} | {yes[r.flags.in_h_prime]} | {yes[r.flags.in_h_circ]}"
-        for r in records
-    ]
-    return inputs, {}, lines
+    suffix = {flags: "".join(f" | {yes[m]}" for m in values) for flags, values in marks.items()}
+    rows = (f"{text[e]} | {text[f]} | {codim}{suffix[flags]}" for e, f, codim, flags in records)
+    return inputs, {}, chain(lines, rows)
 
 
 def _cmd_splitting_codim(args: SimpleNamespace) -> Report:

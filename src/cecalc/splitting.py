@@ -20,41 +20,45 @@ cover forces, and the degree-4 enumeration reproduces the full stratum
 table of a given genus.
 
 Each public function validates its pair once, with ``_pair``, into sorted
-tuples of ints, each part read with ``operator.index`` so that a float or
-a string is refused rather than truncated.  A ``SplittingType`` passes as
-it is, and nothing else is built into one, so the plain tuples of a
-Pfaffian sweep cost no type construction.  The formulas then unpack the
-parts once.  The degree-4 enumeration builds each type once, sorted, with
+ints, each part read with ``operator.index`` so that a float or a string
+is refused rather than truncated.  A ``SplittingType`` passes as it is,
+and anything else becomes a sorted list, so the plain tuples of a Pfaffian
+sweep cost no type construction.  The formulas then unpack the parts
+once, and the predicates build their result tuples without the NamedTuple
+``__new__``.  The degree-4 enumeration builds each type once, sorted, with
 its h1(End), and calls the module-global ``constraints_4`` once for each
 pair it visits (the benchmark tracer counts the visited pairs by wrapping
-that name); each row's codimension is ``_codim4`` on the summands of
-Sym^2 e.
+that name).  Rows with equal flags share one flags tuple, each row's
+codimension is ``_codim4`` on the sorted summands of Sym^2 e, and one
+stable sort by codim orders the table, since the loop visits the pairs in
+increasing (e, f) order.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from operator import index, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from . import MAX_DIGITS, check_digits, fits
 
 TypeLike = Sequence[int]
 
 
-def _sorted_ints(parts: Sequence[int]) -> list[int]:
-    """The parts, sorted, each read with ``operator.index``: an int (or a
-    bool) passes, and a part that is not an integer, such as 1.7 or '1',
-    raises ValueError naming it, where ``int`` would truncate or parse it."""
-    try:
-        return sorted(map(index, parts))
-    except TypeError:
-        for part in parts:
-            try:
-                index(part)
-            except TypeError:
-                raise ValueError(f"splitting type part {part!r} is not an integer") from None
-        raise
+_new = tuple.__new__  # builds a tuple subclass, a NamedTuple too, without its own __new__
+
+
+def _refuse(parts: Iterable) -> NoReturn:
+    """Called while the TypeError of reading ``parts`` with ``operator.index``
+    is handled: ValueError naming the first part that is not an integer (such
+    as 1.7 or '1', which ``int`` would truncate or parse), else that
+    TypeError again."""
+    for part in parts:
+        try:
+            index(part)
+        except TypeError:
+            raise ValueError(f"splitting type part {part!r} is not an integer") from None
+    raise
 
 
 class SplittingType(tuple):
@@ -64,7 +68,11 @@ class SplittingType(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]):
-        return super().__new__(cls, _sorted_ints(tuple(parts)))
+        parts = tuple(parts)
+        try:
+            return _new(cls, sorted(map(index, parts)))
+        except TypeError:
+            _refuse(parts)
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -111,12 +119,18 @@ def wedge2_type(t: TypeLike) -> SplittingType:
 
 
 def _pair(e: TypeLike, f: TypeLike, ranks: tuple[int, int]) -> tuple:
-    """(e, f) as sorted tuples of ints, each SplittingType as it is, without
-    building one; ValueError unless their parts are integers and their ranks
-    are ``ranks``."""
-    e = e if isinstance(e, SplittingType) else tuple(_sorted_ints(e))
-    f = f if isinstance(f, SplittingType) else tuple(_sorted_ints(f))
-    if (len(e), len(f)) != ranks:
+    """(e, f) with sorted int parts: a SplittingType as it is, anything else
+    as a sorted list, without building a type; ValueError unless their parts
+    are integers and their ranks are ``ranks``."""
+    try:
+        e = e if isinstance(e, SplittingType) else sorted(map(index, e))
+    except TypeError:
+        _refuse(e)
+    try:
+        f = f if isinstance(f, SplittingType) else sorted(map(index, f))
+    except TypeError:
+        _refuse(f)
+    if len(e) != ranks[0] or len(f) != ranks[1]:
         raise ValueError(f"need ranks {ranks}, got ({len(e)}, {len(f)})")
     return e, f
 
@@ -131,9 +145,17 @@ def _h1_end(t: Sequence[int]) -> int:
 
 def _codim4(sym2_e: Sequence[int], f: Sequence[int], end_e: int, end_f: int) -> int:
     """h1(End e) + h1(End f) - h1(Hom(f, Sym^2 e)), given the summand degrees
-    of Sym^2 e and the two h1(End); the last is ``h1`` of the degrees s - fl,
-    summed inline."""
-    return end_e + end_f - sum(fl - s - 1 for fl in f for s in sym2_e if s < fl - 1)
+    of Sym^2 e, sorted, and the two h1(End).  The summand O(s - fl) adds
+    fl - 1 - s to the last h1 while s < fl - 1, so each walk up the sorted
+    degrees stops at the first s that adds nothing."""
+    codim = end_e + end_f
+    for fl in f:
+        fl -= 1
+        for s in sym2_e:
+            if s >= fl:
+                break
+            codim += s - fl
+    return codim
 
 
 def codim_hurwitz4(e: TypeLike, f: TypeLike) -> int:
@@ -143,7 +165,7 @@ def codim_hurwitz4(e: TypeLike, f: TypeLike) -> int:
     filtering by the cover constraints is the caller's job.
     """
     e, f = _pair(e, f, (3, 2))
-    return _codim4(tuple(_sym2(e)), f, _h1_end(e), _h1_end(f))
+    return _codim4(sorted(_sym2(e)), f, _h1_end(e), _h1_end(f))
 
 
 def codim_hurwitz5(e: TypeLike, f: TypeLike, genus: int) -> int:
@@ -214,7 +236,7 @@ class QuarticConstraints(NamedTuple):
 def constraints_4(e: TypeLike, f: TypeLike) -> QuarticConstraints:
     (e1, e2, e3), (f1, f2) = _pair(e, f, (3, 2))
     least = 2 * e1 - f2  # the least summand of Hom(f, Sym^2 e)
-    return QuarticConstraints(  # in field order
+    return _new(QuarticConstraints, (  # in field order
         e1 + e2 + e3 == f1 + f2,
         e1 >= 1,
         2 * e1 >= f1,
@@ -223,7 +245,7 @@ def constraints_4(e: TypeLike, f: TypeLike) -> QuarticConstraints:
         e1 + e3 >= f2,
         least >= -1,
         least >= 1,
-    )
+    ))
 
 
 class QuinticConstraints(NamedTuple):
@@ -253,14 +275,14 @@ def constraints_5(e: TypeLike, f: TypeLike, genus: int) -> QuinticConstraints:
     (e1, e2, e3, e4), (f1, f2, f3, f4, f5) = _pair(e, f, (4, 5))
     target = genus + 4
     least = e1 + f1 + f2 - target  # the least of the 40 summands
-    return QuinticConstraints(  # in field order
+    return _new(QuinticConstraints, (  # in field order
         e1 + e2 + e3 + e4 == target and f1 + f2 + f3 + f4 + f5 == 2 * target,
         f1 + f3 + e4 >= target,
         f1 + f4 + e3 >= target,
         f2 + f3 + e3 >= target,
         least >= -1,
         least >= 1 and f1 >= 0,
-    )
+    ))
 
 
 # -- degree-4 strata enumeration ----------------------------------------------
@@ -287,7 +309,10 @@ def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRe
     every sorted f = (f_1, f_2) with f_1 >= 1, both of degree g+3.  The
     ``irreducible`` filter keeps strata passing ``irreducible_ok``;
     ``non_factoring`` additionally requires e_1 + e_3 >= f_2; ``all`` keeps
-    everything.  Rows are sorted by (codim, e, f).  Raises ValueError,
+    everything.  Rows are sorted by (codim, e, f): one stable sort by codim
+    of the rows the loop makes in (e, f) order.  Rows with equal flags share
+    one flags tuple, from one call of the module-global ``constraints_4``
+    per visited pair (the benchmark tracer counts them).  Raises ValueError,
     before enumerating, when the search space holds more than
     ``MAX_STRATA_CANDIDATES`` pairs.  The two filters visit only the f
     within the pencil bounds of each e; the limit still counts every pair.
@@ -307,23 +332,27 @@ def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRe
         )
     fs = [SplittingType((f1, d - f1)) for f1 in range(1, d // 2 + 1)]
     end_fs = [_h1_end(f) for f in fs]
+    shared = {}  # one flags tuple for each value
     records = []
     for e1 in range(1, d // 3 + 1):
         for e2 in range(e1, (d - e1) // 2 + 1):
-            e = SplittingType((e1, e2, d - e1 - e2))
-            sym2_e, end_e = tuple(_sym2(e)), _h1_end(e)
             if filter == "all":
                 first, last = 1, d // 2
             else:
                 # irreducible_ok needs the pencil bounds f_1 <= 2 e_1 and
                 # f_2 = d - f_1 <= 2 e_2, and non_factoring_ok needs irreducible_ok
                 first, last = max(1, d - 2 * e2), min(d // 2, 2 * e1)
+                if first > last:
+                    continue
+            e = SplittingType((e1, e2, d - e1 - e2))
+            sym2_e, end_e = sorted(_sym2(e)), _h1_end(e)
             for f, end_f in zip(fs[first - 1 : last], end_fs[first - 1 : last]):
                 flags = constraints_4(e, f)
                 if filter == "irreducible" and not flags.irreducible_ok:
                     continue
                 if filter == "non_factoring" and not flags.non_factoring_ok:
                     continue
-                records.append(StratumRecord(e, f, _codim4(sym2_e, f, end_e, end_f), flags))
-    records.sort(key=itemgetter(2, 0, 1))  # by (codim, e, f)
+                flags = shared.setdefault(flags, flags)
+                records.append(_new(StratumRecord, (e, f, _codim4(sym2_e, f, end_e, end_f), flags)))
+    records.sort(key=itemgetter(2))  # stable, so by (codim, e, f)
     return records

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from cecalc.cli import arguments, build_parser, main, read_plain
+from cecalc.splitting import enumerate_strata4
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -289,6 +290,24 @@ def test_strata_text_rows_render_the_json_rows(capsys, filter):
     lines = text.splitlines()
     assert lines[0] == f"degree-4 strata at genus 8 (filter: {filter})"
     assert lines[2:] == want and len(want) > 0
+
+
+def test_strata_table_of_many_blocks_is_the_joined_lines(capsys):
+    # main writes a text report in blocks of 2^14 lines; this table needs two
+    genus, filter = 75, "all"
+    code, text = run_cli(capsys, ["strata", "-k", "4", "-g", str(genus), "--filter", filter])
+    assert code == 0
+    yes = {True: "yes", False: "no"}
+    lines = [
+        f"degree-4 strata at genus {genus} (filter: {filter})",
+        "e | f | codim | irreducible | non_factoring | H_prime | H_circ",
+    ] + [
+        f"{r.e.text()} | {r.f.text()} | {r.codim} | {yes[r.flags.irreducible_ok]} | "
+        f"{yes[r.flags.non_factoring_ok]} | {yes[r.flags.in_h_prime]} | {yes[r.flags.in_h_circ]}"
+        for r in enumerate_strata4(genus, filter)
+    ]
+    assert len(lines) > 1 << 14
+    assert text == "\n".join(lines) + "\n"
 
 
 def test_kappa_json_round_trips(capsys):

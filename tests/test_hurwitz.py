@@ -1,5 +1,8 @@
 """Cover-class machinery: setup rings, curve class, kappa classes, ranks."""
 
+from fractions import Fraction
+from math import comb
+
 import pytest
 
 from cecalc.bundles import ZetaClass, dual, fiber_text, push_gamma, split
@@ -81,6 +84,43 @@ def test_quartic_curve_class_is_twisted_second_chern_class():
     fv = chern_of(dual(s.f_char))
     want = ZetaClass([fv[1], fv[0] * 2, fv[0].ring.const(4)])
     assert curve_class(s) == want
+
+
+def test_quintic_curve_class_is_the_harris_tu_skew_class():
+    # At degree 5, C is where the skew map F^v (x) det E(-3) -> F(-2) has
+    # rank <= 2, a section of wedge^2 F (x) M with M = O(zeta) (x) det E^v.
+    # Harris-Tu: its class is c1 c2 - c3 of F (x) L, L^2 = M, expanded as
+    # c_j(F (x) L) = sum_m C(5 - m, j - m) c_m(F) c1(L)^(j - m) with
+    # c1(L) = (zeta - c1(E)) / 2.  The zeta-degree stays below r = 4, so no
+    # relation is needed.  Each class is a dict {zeta power: coefficient}.
+    s = ce_setup(5, genus=None, truncation=7)
+    ring = s.e_chern[0].ring
+    c1_l = {0: s.e_chern[0] * Fraction(-1, 2), 1: ring.const(Fraction(1, 2))}
+
+    def add(a, b, scale=1):  # a + scale * b, in place
+        for d, x in b.items():
+            a[d] = a.get(d, ring.zero()) + x * scale
+        return a
+
+    def mul(a, b):
+        out = {}
+        for i, x in a.items():
+            add(out, {i + j: x * y for j, y in b.items()})
+        return out
+
+    def twisted_chern(j):
+        acc = {}
+        for m in range(j + 1):
+            term = {0: s.f_chern[m - 1] if m else ring.one()}
+            for _ in range(j - m):
+                term = mul(term, c1_l)
+            add(acc, term, comb(5 - m, j - m))
+        return acc
+
+    c1, c2, c3 = (twisted_chern(j) for j in (1, 2, 3))
+    skew = add(mul(c1, c2), c3, -1)
+    assert max(skew) == 3
+    assert curve_class(s) == ZetaClass([skew[d] for d in range(4)])
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

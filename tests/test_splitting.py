@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations_with_replacement
+from operator import itemgetter
 
 import pytest
 
@@ -347,6 +348,73 @@ def test_every_input_form_gives_the_inline_recount():
             assert str(exc.value) == "need ranks (4, 5), got (3, 5)"
 
 
+class _Parts(tuple):
+    """A tuple subclass that is not a SplittingType."""
+
+
+def _input_forms(parts):
+    """``parts`` in each form a caller may pass, each built afresh."""
+    return {
+        "tuple": lambda: tuple(parts),
+        "list": lambda: list(parts),
+        "generator": lambda: (p for p in parts),
+        "SplittingType": lambda: SplittingType(parts),
+        "tuple subclass": lambda: _Parts(parts),
+    }
+
+
+# Each validated function at an unsorted (e, f), its ranks and its value.
+VALIDATED = {
+    "constraints_4": (
+        lambda e, f: tuple(constraints_4(e, f)), (4, 1, 4), (7, 2), (3, 2),
+        (True, True, True, True, True, False, False, False),
+    ),
+    "codim_hurwitz4": (codim_hurwitz4, (4, 1, 4), (7, 2), (3, 2), 2),
+    "constraints_5": (
+        lambda e, f: tuple(constraints_5(e, f, 10)), (9, 1, 3, 1), (6, 5, 6, 5, 6), (4, 5),
+        (True, True, True, True, False, False),
+    ),
+    "codim_hurwitz5": (lambda e, f: codim_hurwitz5(e, f, 10), (9, 1, 3, 1), (6, 5, 6, 5, 6), (4, 5), 5),
+    "negative_summand_count5": (
+        lambda e, f: negative_summand_count5(e, f, 10), (9, 1, 3, 1), (6, 5, 6, 5, 6), (4, 5), 21,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALIDATED)
+def test_pair_validation_keeps_its_results_and_texts(name):
+    call, e, f, ranks, want = VALIDATED[name]
+    for form in _input_forms(e).values():
+        assert call(form(), f) == want
+    for form in _input_forms(f).values():
+        assert call(e, form()) == want
+    for bad in (1.7, "1"):
+        for side in (0, 1):
+            pair = [list(e), list(f)]
+            pair[side][1] = bad
+            forms = _input_forms(pair[side])
+            for label in ("tuple", "list", "tuple subclass"):
+                pair[side] = forms[label]()
+                with pytest.raises(ValueError) as exc:
+                    call(*pair)
+                assert str(exc.value) == f"splitting type part {bad!r} is not an integer"
+            # a generator is spent by the first read, so the part cannot be
+            # named and operator.index's own TypeError stands
+            pair[side] = forms["generator"]()
+            with pytest.raises(TypeError) as exc:
+                call(*pair)
+            assert str(exc.value) == f"{type(bad).__name__!r} object cannot be interpreted as an integer"
+    rank_e, rank_f = ranks
+    for got, pair in (
+        ((rank_e + 1, rank_f), (e + (1,), f)),
+        ((rank_e, rank_f - 1), (e, f[1:])),
+        ((rank_e - 1, rank_f), (SplittingType(e[1:]), SplittingType(f))),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call(*pair)
+        assert str(exc.value) == f"need ranks {ranks}, got {got}"
+
+
 # -- strata enumeration ---------------------------------------------------------------
 
 
@@ -443,6 +511,15 @@ def test_filtered_tables_are_the_full_table_filtered(genus):
             passing = [r for r in full if edge(r) and keep(r.flags)]
             assert passing, (genus, filter)
             assert [r for r in table if edge(r)] == passing, (genus, filter)
+
+
+@pytest.mark.parametrize("genus", [41, 90, 150])
+def test_rows_come_sorted_by_codim_then_e_then_f(genus):
+    # the loop visits (e, f) in increasing order, so its one stable sort by
+    # codim orders the rows by (codim, e, f)
+    for filter in ("all", "irreducible", "non_factoring"):
+        rows = enumerate_strata4(genus, filter)
+        assert rows == sorted(rows, key=itemgetter(2, 0, 1)), filter
 
 
 def test_candidate_count_is_the_loop_over_e1(monkeypatch):
