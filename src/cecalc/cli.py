@@ -12,19 +12,20 @@ command names, the citations and the exit codes.  Each command's handler
 and the table of its arguments live in the command module of its layer:
 ``cli_hurwitz`` (kappa, curve-class, presentation, ce-rank),
 ``cli_splitting`` (strata, splitting-codim) and ``cli_plmin`` (minimize,
-bound).  A launch names its command first, so it loads this core and that
-one module, and the handler imports the layers it uses.
+bound).  A plain launch names its command first, so it loads this core
+and that one module, and the handler imports the layers it uses.
 
 The table is the only declaration of the arguments, and both readers read
 it.  ``read_plain`` reads a plain command line (exact flags, each given at
 most once, every value valid) without argparse; anything else, and every
 help, usage and error text, goes to the argparse parser that
-``build_parser`` builds from the same table.  So a plain launch never
-loads argparse.  A handler maps the parsed arguments to its report
-``(inputs, output, lines)``: the JSON document's two dicts and the text
-report's lines, any iterable of them.  Only ``main`` prints, and it alone
-builds the JSON document.  It writes either report in blocks, so that a
-large one is never held as one string.
+``build_parser`` builds from the tables of all eight commands.  So a plain
+launch never loads argparse, and only a fallback launch loads all three
+command modules (about 4 ms more than one of them).  A handler maps the
+parsed arguments to its report ``(inputs, output, lines)``: the JSON
+document's two dicts and the text report's lines, any iterable of them.
+Only ``main`` prints, and it alone builds the JSON document.  It writes
+either report in blocks, so that a large one is never held as one string.
 """
 
 from __future__ import annotations
@@ -90,29 +91,21 @@ def _dest(flags: Sequence[str]) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone.
-
-    A launch names its command first, so ``main`` builds only that one
-    subparser, from the table of the one command module that holds it.  Its
-    metavar lists every command, so that the usage line of an error stays
-    the one the full parser prints.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built from the three command modules' tables."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="cecalc",
         description="Exact class calculus for low-degree covers of P^1.",
     )
-    names = {"metavar": "{" + ",".join(COMMANDS) + "}"} if command else {}
-    sub = parser.add_subparsers(dest="command", required=True, **names)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text) in COMMANDS.items():
-        if command in (None, name):
-            handler, rows = arguments(name)
-            p = sub.add_parser(name, help=text)
-            for flags, keywords in rows:
-                p.add_argument(*flags, **keywords)
-            p.set_defaults(handler=handler)
+        handler, rows = arguments(name)
+        p = sub.add_parser(name, help=text)
+        for flags, keywords in rows:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -176,9 +169,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = read_plain(argv)
     if args is None:
-        # Anything but a command first (no argument, -h, an unknown word) needs them all.
-        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-        args = SimpleNamespace(**vars(parser.parse_args(argv)))
+        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
     try:
         inputs, output, lines = args.handler(args)
         if args.json:

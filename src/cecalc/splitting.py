@@ -122,6 +122,11 @@ def _pair(e: TypeLike, f: TypeLike, ranks: tuple[int, int]) -> tuple:
     """(e, f) with sorted int parts: a SplittingType as it is, anything else
     as a sorted list, without building a type; ValueError unless their parts
     are integers and their ranks are ``ranks``."""
+    # A one-shot iterable is read once first, so that _refuse can read it again.
+    if not isinstance(e, (tuple, list)):
+        e = tuple(e)
+    if not isinstance(f, (tuple, list)):
+        f = tuple(f)
     try:
         e = e if isinstance(e, SplittingType) else sorted(map(index, e))
     except TypeError:

@@ -100,31 +100,28 @@ def _exit_and_streams(capsys, parse, argv):
     return exc.value.code, capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["kappa", "-k", "4", "-i", "1", "--genus", "3", "extra"],
-        ["bound", "-k", "4", "-g", "10", "--case", "A"],
-        ["strata", "-k", "4"],
-        ["kappa", "-h"],
-        [],
-        ["kapa", "-k", "4"],
-        ["-h"],
-        ["--json", "minimize"],
-        # forms the plain reader leaves to argparse
-        ["kappa", "-k", "4", "--gen", "7"],
-        ["kappa", "-k4", "-i", "x", "--genus", "7"],
-        ["kappa", "-k", "4", "-k", "5", "-i", "1", "--genus", "7", "extra"],
-        ["kappa", "-k", "4", "-i", "1", "--genus", "7", "--json=1"],
-        ["splitting-codim", "-k", "4", "--e", "-1,4,4", "--f", "2,7"],
-    ],
-    ids=[
-        "extra", "invalid_choice", "missing", "command_help", "none", "unknown", "help", "option_first",
-        "abbreviation", "attached_value", "repeated_flag", "switch_with_value", "dash_value",
-    ],
-)
-def test_one_command_parser_reads_as_the_full_parser(capsys, argv):
-    # main builds only the subparser argv[0] names; its texts must not show it
+FALLBACK_CASES = {
+    "extra": ["kappa", "-k", "4", "-i", "1", "--genus", "3", "extra"],
+    "invalid_choice": ["bound", "-k", "4", "-g", "10", "--case", "A"],
+    "missing": ["strata", "-k", "4"],
+    "none": [],
+    "unknown": ["kapa", "-k", "4"],
+    "help": ["-h"],
+    "option_first": ["--json", "minimize"],
+    # forms the plain reader leaves to argparse
+    "abbreviation": ["kappa", "-k", "4", "--gen", "7"],
+    "attached_value": ["kappa", "-k4", "-i", "x", "--genus", "7"],
+    "repeated_flag": ["kappa", "-k", "4", "-k", "5", "-i", "1", "--genus", "7", "extra"],
+    "switch_with_value": ["kappa", "-k", "4", "-i", "1", "--genus", "7", "--json=1"],
+    "dash_value": ["splitting-codim", "-k", "4", "--e", "-1,4,4", "--f", "2,7"],
+    **{f"{argv[0]}_help": [argv[0], "-h"] for argv in ENVELOPE_CASES},
+}
+
+
+@pytest.mark.parametrize("argv", FALLBACK_CASES.values(), ids=FALLBACK_CASES)
+def test_main_fallback_prints_what_the_parser_prints(capsys, argv):
+    # the plain reader leaves each of these to the parser, and main exits
+    # with its code and its help, usage or error text, nothing added
     want = _exit_and_streams(capsys, build_parser().parse_args, argv)
     assert _exit_and_streams(capsys, main, argv) == want
 
@@ -980,6 +977,8 @@ def test_help_and_fallback_launches_load_argparse(argv):
     code, modules = imported(argv)
     assert code in (0, 2)
     assert PARSER_STACK <= modules
+    # the fallback builds the parser of every command, from every command module
+    assert set(COMMAND_MODULES.values()) <= modules
 
 
 def test_json_launch_loads_json():

@@ -393,17 +393,11 @@ def test_pair_validation_keeps_its_results_and_texts(name):
             pair = [list(e), list(f)]
             pair[side][1] = bad
             forms = _input_forms(pair[side])
-            for label in ("tuple", "list", "tuple subclass"):
+            for label in ("tuple", "list", "generator", "tuple subclass"):
                 pair[side] = forms[label]()
                 with pytest.raises(ValueError) as exc:
                     call(*pair)
                 assert str(exc.value) == f"splitting type part {bad!r} is not an integer"
-            # a generator is spent by the first read, so the part cannot be
-            # named and operator.index's own TypeError stands
-            pair[side] = forms["generator"]()
-            with pytest.raises(TypeError) as exc:
-                call(*pair)
-            assert str(exc.value) == f"{type(bad).__name__!r} object cannot be interpreted as an integer"
     rank_e, rank_f = ranks
     for got, pair in (
         ((rank_e + 1, rank_f), (e + (1,), f)),
