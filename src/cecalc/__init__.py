@@ -12,11 +12,14 @@ Five layers, bottom up:
 
 plus a ``cecalc`` command-line tool (module ``cli``).
 
-The package root holds only ``__version__`` and the digit limit that the
-layers and the command line share, and imports nothing: import the layer
-you need, e.g. ``from cecalc import hurwitz`` or ``from cecalc.plmin import
-solve``, so that a program loads only the layers it uses.
+The package root holds only ``__version__``, the digit limit and the
+integer reader ``integer`` that the layers and the command line share, and
+imports no layer: import the layer you need, e.g. ``from cecalc import
+hurwitz`` or ``from cecalc.plmin import solve``, so that a program loads
+only the layers it uses.
 """
+
+from operator import index
 
 __version__ = "1.0.0"
 
@@ -37,3 +40,17 @@ def check_digits(what: str, *values) -> None:
     """ValueError naming ``what`` and the limit unless ``values`` fit MAX_DIGITS."""
     if not fits(*values):
         raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
+
+
+def integer(value, what: str, least=None) -> int:
+    """``value`` read with ``operator.index``: ValueError naming ``what`` when
+    it is not an integer (such as 6.5 or '7', which ``int`` would truncate or
+    parse) or is below ``least``."""
+    try:
+        n = index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+    if least is not None and n < least:
+        check_digits(what, n)
+        raise ValueError(f"{what} must be >= {least}, got {n}")
+    return n

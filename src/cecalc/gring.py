@@ -24,6 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+from . import integer
+
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
 
@@ -35,17 +37,15 @@ class RingSpec:
 
     def __init__(self, generators: Sequence[tuple[str, int]], truncation_order: int):
         names = tuple(name for name, _ in generators)
-        degrees = tuple(int(deg) for _, deg in generators)
+        degrees = tuple(integer(deg, f"degree of generator {name!r}") for name, deg in generators)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator name in {names}")
         for name, deg in zip(names, degrees):
             if deg < 0:
                 raise ValueError(f"generator {name!r} has negative degree {deg}")
-        if truncation_order < 1:
-            raise ValueError(f"truncation order must be >= 1, got {truncation_order}")
         self.names = names
         self.degrees = degrees
-        self.truncation = int(truncation_order)
+        self.truncation = integer(truncation_order, "truncation order", 1)
         self._index = {name: i for i, name in enumerate(names)}
 
     def __eq__(self, other: object) -> bool:

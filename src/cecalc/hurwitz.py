@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple, Optional, Union
 
-from . import MAX_DIGITS
+from . import MAX_DIGITS, integer
 from .bundles import ZetaClass, chern_from_parts, dual, fiber_ring, push_pi, zeta_twisted_ch
 from .gring import GradedPoly, RingSpec
 
@@ -59,8 +59,7 @@ def ce_rank(i: int, k: int) -> int:
     one of these shows it, and each is at most about the square of the last
     one, which did not.
     """
-    if k < 3:
-        raise ValueError(f"covering degree must be >= 3, got {k}")
+    k, i = integer(k, "covering degree", 3), integer(i, "index")
     if not 1 <= i <= k - 2:
         raise ValueError(f"index {i} outside [1, {k - 2}]")
     if i == k - 2:
@@ -103,10 +102,10 @@ def presentation(k: int, genus: int) -> tuple[tuple[tuple[str, int], ...], int]:
     Returns (generators-with-weights, bound): every relation among the
     generators has degree >= bound, which is g+3, g+4, g+5 for k = 3, 4, 5.
     """
+    k = integer(k, "covering degree")
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"unsupported covering degree {k}")
-    if genus < 2:
-        raise ValueError(f"genus must be >= 2, got {genus}")
+    genus = integer(genus, "genus", 2)
     return _generators(k), genus + k
 
 
@@ -133,12 +132,11 @@ def ce_setup(k: int, genus: Optional[int] = None, truncation: int = 8) -> CESetu
     symbolic; a given genus must be at least 2.  The truncation order
     bounds every computation downstream; kappa_i needs truncation > i + k - 1.
     """
+    k = integer(k, "covering degree")
     if k not in SUPPORTED_DEGREES:
         raise ValueError(f"unsupported covering degree {k}")
-    if genus is not None and genus < 2:
-        raise ValueError(f"genus must be >= 2, got {genus}")
-    if truncation < 2:
-        raise ValueError(f"truncation must be >= 2, got {truncation}")
+    genus = None if genus is None else integer(genus, "genus", 2)
+    truncation = integer(truncation, "truncation", 2)
     ring = RingSpec(_generators(k) + ((("g", 0),) if genus is None else ()), truncation)
     fiber = fiber_ring(ring)
     z = fiber.gen("z")
@@ -208,8 +206,7 @@ def kappa(setup: CESetup, i: int) -> KappaResult:
     with c_j(E) = a_j + a_j' z off the setup.  [C] = sum_{a<r} C_a zeta^a
     does not depend on the truncation: it is built at k and lifted.
     """
-    if i < 0:
-        raise ValueError(f"kappa index must be >= 0, got {i}")
+    i = integer(i, "kappa index", 0)
     k = setup.degree
     needed = (k - 2) + (i + 1)
     ring = setup.ring
@@ -257,6 +254,7 @@ def kappa_value(k: int, i: int, genus: Union[int, None], truncation: Optional[in
     """Build a setup and return the kappa_i polynomial in the truncation-T
     ring; the default T is i + k + 2.  An index past ``KAPPA_INDEX_LIMIT``
     is refused before any ring is built."""
+    k, i = integer(k, "covering degree"), integer(i, "kappa index")
     if i > KAPPA_INDEX_LIMIT.get(k, i):
         raise ValueError(f"kappa index i = {i} at k = {k} is past the limit of {KAPPA_INDEX_LIMIT[k]}")
     if truncation is None:

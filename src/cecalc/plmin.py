@@ -61,7 +61,7 @@ from numbers import Real
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from . import MAX_DIGITS, check_digits, fits
+from . import MAX_DIGITS, check_digits, fits, integer
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -122,6 +122,7 @@ def program(
     the given vectors are validated it raises UnboundedError, before the
     default objective or anything else of size n is built.
     """
+    num_vars = integer(num_vars, "the number of variables")
     if num_vars < 1:
         check_digits("the number of variables", num_vars)
         raise ValueError(f"need at least one variable, got {num_vars}")
@@ -613,8 +614,7 @@ def sample_check(p: PLProgram, trials: int, seed: int, center: Sequence[Scalar])
     the region, and then ValueError when the center is not feasible: when a
     slack of the walk is negative at it, or it is off the equality subspace.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = integer(trials, "trials", 1)
     r = _region(p)
     m = len(r.free)
     cx = _vec(center, p.num_vars, "center")
@@ -736,8 +736,7 @@ def bound(k: int, genus: int, case: str) -> Fraction:
     H_circ over the cover problem with its extra constraints and hinge
     corrections; both are computed, never hard-coded.
     """
-    if genus < 2:
-        raise ValueError(f"genus must be >= 2, got {genus}")
+    k, genus = integer(k, "covering degree"), integer(genus, "genus", 2)
     if case not in ("B_circ", "H_circ"):
         raise ValueError(f"case must be B_circ or H_circ, got {case!r}")
     if k == 4:

@@ -19,28 +19,30 @@ which splitting-type inequalities a smooth irreducible (or non-factoring)
 cover forces, and the degree-4 enumeration reproduces the full stratum
 table of a given genus.
 
-Each public function validates its pair once, with ``_pair``, into sorted
-ints, each part read with ``operator.index`` so that a float or a string
-is refused rather than truncated.  A ``SplittingType`` passes as it is,
-and anything else becomes a sorted list, so the plain tuples of a Pfaffian
-sweep cost no type construction.  The formulas then unpack the parts
-once, and the predicates build their result tuples without the NamedTuple
-``__new__``.  The degree-4 enumeration builds each type once, sorted, with
-its h1(End), and calls the module-global ``constraints_4`` once for each
-pair it visits (the benchmark tracer counts the visited pairs by wrapping
-that name).  Rows with equal flags share one flags tuple, each row's
-codimension is ``_codim4`` on the sorted summands of Sym^2 e, and one
-stable sort by codim orders the table, since the loop visits the pairs in
-increasing (e, f) order.
+Each public function validates its pair once, with ``_pair``, through
+``_parts``, the one reader of parts, which ``SplittingType`` uses too.  A
+``SplittingType`` passes as it is, and anything else becomes a sorted list
+of ints read with ``operator.index``, so the plain tuples of a Pfaffian
+sweep cost no type construction; a part that is not an integer, such as a
+float or a string, is refused by name with the root's ``integer`` rather
+than truncated.  The formulas then unpack the parts once, and the
+predicates build their result tuples without the NamedTuple ``__new__``.
+The degree-4 enumeration builds each type once, sorted, with its h1(End),
+and calls the module-global ``constraints_4`` once for each pair it visits
+(the benchmark tracer counts the visited pairs by wrapping that name).
+Rows with equal flags share one flags tuple, each row's codimension is
+``_codim4`` on the sorted summands of Sym^2 e, and one stable sort by
+codim orders the table, since the loop visits the pairs in increasing
+(e, f) order.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from operator import index, itemgetter
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import MAX_DIGITS, check_digits, fits
+from . import MAX_DIGITS, check_digits, fits, integer
 
 TypeLike = Sequence[int]
 
@@ -48,17 +50,18 @@ TypeLike = Sequence[int]
 _new = tuple.__new__  # builds a tuple subclass, a NamedTuple too, without its own __new__
 
 
-def _refuse(parts: Iterable) -> NoReturn:
-    """Called while the TypeError of reading ``parts`` with ``operator.index``
-    is handled: ValueError naming the first part that is not an integer (such
-    as 1.7 or '1', which ``int`` would truncate or parse), else that
-    TypeError again."""
-    for part in parts:
-        try:
-            index(part)
-        except TypeError:
-            raise ValueError(f"splitting type part {part!r} is not an integer") from None
-    raise
+def _parts(parts: Iterable[int]) -> Sequence[int]:
+    """The parts sorted: a ``SplittingType`` as it is, anything else as a
+    sorted list of its parts read with ``operator.index``; ValueError, from
+    ``integer``, naming the first part that is not an integer."""
+    if isinstance(parts, SplittingType):
+        return parts
+    if not isinstance(parts, (tuple, list)):
+        parts = tuple(parts)  # a one-shot iterable, read once so that it can be read again
+    try:
+        return sorted(map(index, parts))
+    except TypeError:
+        return sorted(integer(part, "splitting type part") for part in parts)
 
 
 class SplittingType(tuple):
@@ -68,11 +71,7 @@ class SplittingType(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]):
-        parts = tuple(parts)
-        try:
-            return _new(cls, sorted(map(index, parts)))
-        except TypeError:
-            _refuse(parts)
+        return _new(cls, _parts(parts))
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -119,22 +118,9 @@ def wedge2_type(t: TypeLike) -> SplittingType:
 
 
 def _pair(e: TypeLike, f: TypeLike, ranks: tuple[int, int]) -> tuple:
-    """(e, f) with sorted int parts: a SplittingType as it is, anything else
-    as a sorted list, without building a type; ValueError unless their parts
-    are integers and their ranks are ``ranks``."""
-    # A one-shot iterable is read once first, so that _refuse can read it again.
-    if not isinstance(e, (tuple, list)):
-        e = tuple(e)
-    if not isinstance(f, (tuple, list)):
-        f = tuple(f)
-    try:
-        e = e if isinstance(e, SplittingType) else sorted(map(index, e))
-    except TypeError:
-        _refuse(e)
-    try:
-        f = f if isinstance(f, SplittingType) else sorted(map(index, f))
-    except TypeError:
-        _refuse(f)
+    """(e, f) read with ``_parts``, without building a type; ValueError
+    unless their parts are integers and their ranks are ``ranks``."""
+    e, f = _parts(e), _parts(f)
     if len(e) != ranks[0] or len(f) != ranks[1]:
         raise ValueError(f"need ranks {ranks}, got ({len(e)}, {len(f)})")
     return e, f
@@ -175,8 +161,7 @@ def codim_hurwitz4(e: TypeLike, f: TypeLike) -> int:
 
 def codim_hurwitz5(e: TypeLike, f: TypeLike, genus: int) -> int:
     """Codimension of the (e, f) stratum for degree-5 covers of genus g."""
-    if genus < 2:
-        raise ValueError(f"genus must be >= 2, got {genus}")
+    genus = integer(genus, "genus", 2)
     e, f = _pair(e, f, (4, 5))
     deg_e, deg_f, target = sum(e), sum(f), genus + 4
     if deg_e != target or deg_f != 2 * target:
@@ -322,8 +307,7 @@ def enumerate_strata4(genus: int, filter: str = "irreducible") -> list[StratumRe
     ``MAX_STRATA_CANDIDATES`` pairs.  The two filters visit only the f
     within the pencil bounds of each e; the limit still counts every pair.
     """
-    if genus < 2:
-        raise ValueError(f"genus must be >= 2, got {genus}")
+    genus = integer(genus, "genus", 2)
     if filter not in _FILTERS:
         raise ValueError(f"filter must be one of {_FILTERS}, got {filter!r}")
     d = genus + 3

@@ -199,3 +199,31 @@ def test_the_guard_sees_private_imports():
         "random._inst\n"
     )
     assert private_imports(ast.parse(code)) == [(1, "_trusted"), (2, "_extend"), (4, "_bundles")]
+
+
+def lower_bound_texts(tree):
+    """Lines of the string constants, f-string pieces among them, that
+    spell out a lower bound ("must be >="), as ``cecalc.integer`` does."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "must be >=" in node.value
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_lower_bound_is_checked_by_integer(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{line}" for line in lower_bound_texts(tree)]
+    assert not found, f"lower bounds checked by hand, not by integer(): {', '.join(found)}"
+
+
+def test_the_guard_sees_lower_bounds():
+    code = 'def f(g):\n    if g < 2:\n        raise ValueError(f"genus must be >= 2, got {g}")\n'
+    assert lower_bound_texts(ast.parse(code)) == [3]
+    root = ROOT / "src" / "cecalc" / "__init__.py"
+    assert lower_bound_texts(ast.parse(root.read_text()))

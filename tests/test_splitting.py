@@ -1,11 +1,14 @@
 """Splitting-type combinatorics, codimension formulas, strata enumeration."""
 
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import itemgetter
 
 import pytest
 
+from cecalc import MAX_DIGITS, hurwitz, plmin
+from cecalc.gring import RingSpec
 from cecalc.splitting import (
     MAX_STRATA_CANDIDATES,
     SplittingType,
@@ -106,6 +109,9 @@ def test_a_part_that_is_not_an_integer_is_refused_by_name(part):
         lambda: constraints_5((1, 1, 1, 3), (1, 1, 2, 2, part), 2),
         lambda: negative_summand_count5([part, 1, 1, 3], (1, 1, 2, 2, 4), 2),
         lambda: sym2_type([part, 2]),
+        lambda: tensor_type([part, 2], [1]),
+        lambda: tensor_type([1], [2, part]),
+        lambda: wedge2_type([2, part, 3]),
     ]
     for call in calls:
         with pytest.raises(ValueError) as exc:
@@ -114,6 +120,49 @@ def test_a_part_that_is_not_an_integer_is_refused_by_name(part):
     # a bool is an int, as operator.index reads it
     assert SplittingType([2, True]) == (1, 2)
     assert codim_hurwitz4([True, 4, 4], [2, 7]) == codim_hurwitz4([1, 4, 4], [2, 7])
+
+
+_BOX = plmin.program(1, inequalities=[([1], 1), ([-1], 0)], objective_linear=[1])
+
+# Every integer argument of the layers: what its refusal calls it, a call
+# that passes a value in its place, and whether it has a lower bound.
+INTEGER_ARGUMENTS = {
+    "presentation k": ("covering degree", lambda v: hurwitz.presentation(v, 7), False),
+    "presentation genus": ("genus", lambda v: hurwitz.presentation(4, v), True),
+    "ce_setup k": ("covering degree", lambda v: hurwitz.ce_setup(v, 7), False),
+    "ce_setup genus": ("genus", lambda v: hurwitz.ce_setup(4, v), True),
+    "ce_setup truncation": ("truncation", lambda v: hurwitz.ce_setup(4, 7, v), True),
+    "ce_rank k": ("covering degree", lambda v: hurwitz.ce_rank(1, v), True),
+    "ce_rank i": ("index", lambda v: hurwitz.ce_rank(v, 5), False),
+    "kappa index": ("kappa index", lambda v: hurwitz.kappa(hurwitz.ce_setup(3, 2, 4), v), True),
+    "kappa_value k": ("covering degree", lambda v: hurwitz.kappa_value(v, 2, 7), False),
+    "kappa_value index": ("kappa index", lambda v: hurwitz.kappa_value(4, v, 7), False),
+    "bound k": ("covering degree", lambda v: plmin.bound(v, 7, "H_circ"), False),
+    "bound genus": ("genus", lambda v: plmin.bound(4, v, "H_circ"), True),
+    "sample_check trials": ("trials", lambda v: plmin.sample_check(_BOX, v, 0, [0]), True),
+    "program num_vars": ("the number of variables", lambda v: plmin.program(v), True),
+    "RingSpec degree": ("degree of generator 'x'", lambda v: RingSpec([("x", v)], 3), False),
+    "RingSpec truncation": ("truncation order", lambda v: RingSpec([("x", 1)], v), True),
+    "codim_hurwitz5 genus": (
+        "genus", lambda v: codim_hurwitz5([1, 1, 1, 3], [1, 1, 2, 2, 6], v), True
+    ),
+    "enumerate_strata4 genus": ("genus", lambda v: enumerate_strata4(v), True),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_an_integer_argument_that_is_not_an_integer_is_refused_by_name(name):
+    # as for a part: 6.5 is not truncated to 6, nor '7' or Fraction(7) read as 7,
+    # so bound(4, 6.5, "H_circ") is refused rather than answered with a float
+    what, call, bounded = INTEGER_ARGUMENTS[name]
+    for value in (6.5, "7", Fraction(7)):
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value) == f"{what} {value!r} is not an integer"
+    if bounded:  # a value below the bound too long to print is refused by name
+        with pytest.raises(ValueError) as exc:
+            call(-(10**5000))
+        assert str(exc.value) == f"{what} has more than {MAX_DIGITS} digits"
 
 
 def test_sym2_and_wedge2_partition_the_square():
