@@ -12,11 +12,11 @@ Five layers, bottom up:
 
 plus a ``cecalc`` command-line tool (module ``cli``).
 
-The package root holds only ``__version__``, the digit limit and the
-integer reader ``integer`` that the layers and the command line share, and
-imports no layer: import the layer you need, e.g. ``from cecalc import
-hurwitz`` or ``from cecalc.plmin import solve``, so that a program loads
-only the layers it uses.
+The package root holds only ``__version__``, the digit limit, the readers
+``integer`` and ``exact`` and ``PLError``, the solver errors' base, that the
+layers and the command line share, and imports no layer: import the layer
+you need, e.g. ``from cecalc import hurwitz`` or ``from cecalc.plmin import
+solve``, so that a program loads only the layers it uses.
 """
 
 from operator import index
@@ -54,3 +54,15 @@ def integer(value, what: str, least=None) -> int:
         check_digits(what, n)
         raise ValueError(f"{what} must be >= {least}, got {n}")
     return n
+
+
+def exact(value, what: str):
+    """``value`` itself: ValueError naming ``what`` when it is a float, which
+    ``Fraction`` would read as its binary value (0.1 as 3602879701896397/2^55)."""
+    if isinstance(value, float):
+        raise ValueError(f"{what} {value!r} is a float, not an exact number")
+    return value
+
+
+class PLError(Exception):
+    """Base class for solver failures: exit code 3 of the command line."""

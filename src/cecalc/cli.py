@@ -5,7 +5,8 @@ JSON document {"command", "inputs", "output", "citations"} whose numbers
 are exact "p/q" strings.  Identical inputs give byte-identical output.
 
 Exit codes: 0 success, 2 invalid arguments, 3 mathematically infeasible or
-unbounded program, 1 any other computation failure.
+unbounded program (the package root's ``PLError``, which ``main`` catches
+without loading the solver), 1 any other computation failure.
 
 This module is the core: ``main``, the two readers of a command line, the
 command names, the citations and the exit codes.  Each command's handler
@@ -35,6 +36,8 @@ import sys
 from itertools import islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+
+from . import PLError
 
 if TYPE_CHECKING:
     import argparse
@@ -159,12 +162,6 @@ def read_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(command=argv[0], handler=handler, **dests)
 
 
-def _no_solution_errors() -> tuple:
-    """plmin's infeasible and unbounded errors, once a command has loaded it."""
-    plmin = sys.modules.get(f"{__package__}.plmin")
-    return (plmin.InfeasibleError, plmin.UnboundedError) if plmin else ()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = read_plain(argv)
@@ -194,12 +191,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 block.append("")
                 sys.stdout.write("\n".join(block))
         return 0
-    except _no_solution_errors() as exc:
+    except (PLError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, PLError) else 2
     except Exception as exc:  # computation failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

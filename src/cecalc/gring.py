@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from . import integer
+from . import exact, integer
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
@@ -72,7 +72,7 @@ class RingSpec:
         return self.const(1)
 
     def const(self, value: Scalar) -> "GradedPoly":
-        c = Fraction(value)
+        c = Fraction(exact(value, "constant"))
         if c == 0:
             return self.zero()
         return GradedPoly(self, {(0,) * len(self.names): c})
@@ -91,11 +91,11 @@ class RingSpec:
 class GradedPoly:
     """Element of a RingSpec ring: exponent-vector -> Fraction term map.
 
-    Construction normalizes: coefficients are coerced to Fraction, zero
-    terms are dropped and monomials at or above the truncation order are
-    discarded.  Arithmetic results skip that pass (see ``_trusted``): their
-    terms are built normalized.  Instances are immutable in practice (the
-    term map is never mutated after construction).
+    Construction normalizes: coefficients are coerced to Fraction (a float
+    is refused by name), zero terms are dropped and monomials at or above
+    the truncation order are discarded.  Arithmetic results skip that pass
+    (see ``_trusted``): their terms are built normalized.  Instances are
+    immutable in practice (the term map is never mutated after construction).
     """
 
     __slots__ = ("ring", "terms")
@@ -104,7 +104,7 @@ class GradedPoly:
         clean: dict[Exponents, Fraction] = {}
         n = len(ring.names)
         for exps, coeff in terms.items():
-            c = Fraction(coeff)
+            c = Fraction(exact(coeff, "coefficient"))
             if c == 0:
                 continue
             if len(exps) != n:
@@ -150,6 +150,8 @@ class GradedPoly:
             if not other:
                 return _trusted(self.ring, {})
             return _trusted(self.ring, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, GradedPoly):
+            raise ValueError(f"factor {other!r} is not a GradedPoly, an int or a Fraction")
         self._check_ring(other)
         ring = self.ring
         bound = ring.truncation

@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple, Optional, Union
 
-from . import MAX_DIGITS, integer
+from . import MAX_DIGITS, fits, integer
 from .bundles import ZetaClass, chern_from_parts, dual, fiber_ring, push_pi, zeta_twisted_ch
 from .gring import GradedPoly, RingSpec
 
@@ -46,37 +46,34 @@ SUPPORTED_DEGREES = (3, 4, 5)
 # (2 CPUs, Python 3.11), and kappa_i at a small numeric genus less.
 KAPPA_INDEX_LIMIT = {3: 30, 4: 20, 5: 16}
 
+_CAP_BITS = (10**MAX_DIGITS).bit_length()  # 2^_CAP_BITS > 10^MAX_DIGITS
+
 
 def ce_rank(i: int, k: int) -> int:
     """Rank of the i-th syzygy bundle in the length-(k-2) resolution.
 
     The general formula i(k-2-i)/(k-1) * C(k, i+1) evaluates to 0 at the
     final step i = k-2, where the bundle is the determinant line bundle;
-    that case is pinned to 1.  C(k, i+1) = C(k, j) with j = min(i+1, k-i-1)
-    <= k/2, and C(k, t) only grows up to t = j, so it is formed at
-    t = 1, 3, 7, ..., j: a rank of more than MAX_DIGITS digits, too long for
-    Python to print and seconds to minutes to build, is refused as soon as
-    one of these shows it, and each is at most about the square of the last
-    one, which did not.
+    that case is pinned to 1.  A rank of more than MAX_DIGITS digits is
+    refused by two inequalities: with j = min(i+1, k-i-1), C(k, i+1) =
+    C(k, j) >= (k // j)^j >= 2^e, e = j (bit_length(k // j) - 1), and the
+    rank is at least C(k, j)/2, as i(k-2-i) >= k-3 >= (k-1)/2 for k >= 5 (at
+    k <= 4, e <= 2).  An e past the bit length of 10^MAX_DIGITS is refused
+    at once; else C(k, j) < 2^50000 or so, and the rank is formed and checked.
     """
     k, i = integer(k, "covering degree", 3), integer(i, "index")
     if not 1 <= i <= k - 2:
         raise ValueError(f"index {i} outside [1, {k - 2}]")
     if i == k - 2:
         return 1
-    scale = i * (k - 2 - i)
-    cap = 10**MAX_DIGITS * (k - 1)  # rank >= 10^MAX_DIGITS iff C * scale >= cap
     j = min(i + 1, k - i - 1)
-    t = 0
-    while t < j:
-        t = min(2 * t + 1, j)
-        binom = comb(k, t)
-        if binom * scale >= cap:
-            raise ValueError(f"rank for k = {k}, i = {i} has more than {MAX_DIGITS} digits")
-    rank, rest = divmod(binom * scale, k - 1)
-    if rest:
-        raise ArithmeticError(f"non-integral rank for (i={i}, k={k})")
-    return rank
+    if j * ((k // j).bit_length() - 1) <= _CAP_BITS:
+        rank, rest = divmod(i * (k - 2 - i) * comb(k, j), k - 1)
+        if rest:
+            raise ArithmeticError(f"non-integral rank for (i={i}, k={k})")
+        if fits(rank):
+            return rank
+    raise ValueError(f"rank for k = {k}, i = {i} has more than {MAX_DIGITS} digits")
 
 
 def _bundles(k: int) -> tuple[tuple[str, int, int], ...]:
@@ -186,8 +183,6 @@ def curve_class(setup: CESetup) -> ZetaClass:
 class KappaResult(NamedTuple):
     """A kappa class expanded in the setup's generators."""
 
-    index: int
-    degree: int
     polynomial: GradedPoly
 
 
@@ -237,7 +232,7 @@ def kappa(setup: CESetup, i: int) -> KappaResult:
         for b in range(r - 1 - a, i + 2):
             pushed = pushed + omega[b] * segre[a + b - r + 1]
         total = total + c * pushed
-    return KappaResult(index=i, degree=k, polynomial=push_pi(total))
+    return KappaResult(push_pi(total))
 
 
 def curve_class_value(k: int, genus: Union[int, None], truncation: int) -> ZetaClass:

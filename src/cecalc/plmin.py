@@ -61,7 +61,7 @@ from numbers import Real
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from . import MAX_DIGITS, check_digits, fits, integer
+from . import MAX_DIGITS, PLError, check_digits, exact, fits, integer
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
@@ -69,10 +69,6 @@ Vector = tuple[Fraction, ...]
 # Largest number of subsets the vertex enumeration may visit; larger
 # programs would run for hours, so they are refused.
 MAX_SUBSETS = 10**6
-
-
-class PLError(Exception):
-    """Base class for solver failures."""
 
 
 class InfeasibleError(PLError):
@@ -84,7 +80,7 @@ class UnboundedError(PLError):
 
 
 def _vec(values: Iterable[Scalar], n: int, what: str) -> Vector:
-    out = tuple(Fraction(v) for v in values)
+    out = tuple(Fraction(exact(v, f"{what} entry")) for v in values)
     if len(out) != n:
         check_digits("the number of variables", n)
         raise ValueError(f"{what} has length {len(out)}, expected {n}")
@@ -116,7 +112,7 @@ def program(
     objective_const: Scalar = 0,
     hinges: Sequence[tuple[int, Sequence[Scalar], Scalar]] = (),
 ) -> PLProgram:
-    """Build a PLProgram, coercing every number to Fraction and validating.
+    """Build a PLProgram, reading every number exactly (no float) and validating.
 
     A program with no equality and no inequality is all of R^n, so once
     the given vectors are validated it raises UnboundedError, before the
@@ -126,16 +122,16 @@ def program(
     if num_vars < 1:
         check_digits("the number of variables", num_vars)
         raise ValueError(f"need at least one variable, got {num_vars}")
-    eqs = tuple((_vec(a, num_vars, "equality"), Fraction(b)) for a, b in equalities)
-    les = tuple((_vec(a, num_vars, "inequality"), Fraction(b)) for a, b in inequalities)
+    eqs, les = (tuple((_vec(a, num_vars, what), Fraction(exact(b, f"{what} rhs"))) for a, b in rows)
+                for rows, what in ((equalities, "equality"), (inequalities, "inequality")))
     lin = _vec(objective_linear, num_vars, "objective") if objective_linear else None
     hs = []
     for sign, coeffs, rhs in hinges:
         if sign not in (1, -1):
             check_digits("a hinge sign", sign)
             raise ValueError(f"hinge sign must be +1 or -1, got {sign}")
-        hs.append(Hinge(sign, _vec(coeffs, num_vars, "hinge"), Fraction(rhs)))
-    const = Fraction(objective_const)
+        hs.append(Hinge(sign, _vec(coeffs, num_vars, "hinge"), Fraction(exact(rhs, "hinge rhs"))))
+    const = Fraction(exact(objective_const, "objective constant"))
     if not eqs and not les:
         raise UnboundedError("no inequality constrains the affine subspace")
     if lin is None:

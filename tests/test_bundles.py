@@ -170,6 +170,8 @@ def test_adams_on_line_bundles_and_composition():
     assert adams(o_z(ring, 1), 2) == o_z(ring, 2)
     b = split_char(ring, [1, 2, -1])
     assert adams(adams(b, 2), 3) == adams(b, 6)
+    with pytest.raises(ValueError, match="^Adams operations need k >= 1$"):
+        adams(b, 0)
 
 
 def test_sym_wedge_ranks_and_sum_rule():

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from cecalc import PLError, cli_hurwitz
 from cecalc.cli import arguments, build_parser, main, read_plain
 from cecalc.splitting import enumerate_strata4
 
@@ -380,6 +381,23 @@ def test_truncation_below_2_exits_2(capsys, argv, truncation):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"error: truncation must be >= 2, got {truncation}" in err
+
+
+@pytest.mark.parametrize(
+    "error,code,prefix",
+    [(PLError, 3, "error"), (ValueError, 2, "error"), (ArithmeticError, 1, "internal error")],
+    ids=["PLError", "ValueError", "ArithmeticError"],
+)
+def test_a_handler_error_exits_with_its_code_without_loading_the_solver(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error("no answer")
+
+    monkeypatch.setitem(cli_hurwitz.ARGUMENTS, "kappa", (fail, cli_hurwitz.ARGUMENTS["kappa"][1]))
+    monkeypatch.delitem(sys.modules, "cecalc.plmin", raising=False)
+    assert main(["kappa", "-k", "4", "-i", "3", "--genus", "7"]) == code
+    assert capsys.readouterr() == ("", f"{prefix}: no answer\n")
+    # the root PLError is caught without the solver's module
+    assert "cecalc.plmin" not in sys.modules
 
 
 def test_infeasible_program_exits_3(tmp_path, capsys):

@@ -153,6 +153,37 @@ def test_ring_mismatch_is_an_error():
         a * b
 
 
+# A call on the ring [c2:2, a1:1] at D = 5 and the message of its refusal.
+REFUSALS = {
+    "unknown generator": (lambda r: r.gen("z"), "unknown generator 'z' in RingSpec([c2:2, a1:1], D=5)"),
+    "exponent length": (
+        lambda r: GradedPoly(r, {(1,): 1}),
+        "exponent vector (1,) has wrong length for RingSpec([c2:2, a1:1], D=5)",
+    ),
+    "retruncate": (lambda r: r.gen("a1").retruncate(RingSpec([("a1", 1)], 5)), "generator lists differ"),
+    # a float is refused by name, not read as its binary value (0.1 is not 1/10)
+    "float constant": (lambda r: r.const(0.1), "constant 0.1 is a float, not an exact number"),
+    "float coefficient": (
+        lambda r: GradedPoly(r, {(0, 1): 0.5}),
+        "coefficient 0.5 is a float, not an exact number",
+    ),
+    "float factor": (lambda r: r.gen("a1") * 0.5, "factor 0.5 is not a GradedPoly, an int or a Fraction"),
+    "float factor on the left": (
+        lambda r: 0.5 * r.gen("a1"),
+        "factor 0.5 is not a GradedPoly, an int or a Fraction",
+    ),
+    "text factor": (lambda r: r.gen("a1") * "2", "factor '2' is not a GradedPoly, an int or a Fraction"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_a_bad_argument_is_refused_with_its_message(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError) as exc:
+        call(small_ring())
+    assert str(exc.value) == message
+
+
 def test_text_and_json_serialization():
     ring = RingSpec([("c2", 2), ("a1", 1)], 5)
     p = ring.gen("a1") * ring.gen("a1") * Fraction(3, 2) + ring.gen("c2") - ring.const(1)

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from cecalc import hurwitz
 from cecalc.bundles import ZetaClass, dual, fiber_text, push_gamma, split
 from cecalc.hurwitz import (
     KAPPA_INDEX_LIMIT,
@@ -287,6 +288,31 @@ def test_ce_rank_range_validation():
         ce_rank(3, 4)
     with pytest.raises(ValueError):
         ce_rank(1, 2)
+
+
+# Pairs around the refusal edge: the first refusals at the middle index
+# (k = 14280), the bound's own edge j = 14286 (k = 28572 at i = k/2 - 1), and
+# k of about 2150 digits, where C(k, 2) is near the cap and C(k, 3) past it.
+CE_RANK_EDGE = [
+    *((i, k) for k in (14279, 14280, 14281, 14299, 14300, 14301) for i in range(k // 2 - 3, k // 2 + 1)),
+    *((i, k) for k in (28570, 28571, 28572) for i in range(k // 2 - 2, k // 2 + 1)),
+    *(pytest.param(i, 2**7143 + s, id=f"{i}-2^7143{s:+d}") for s in (-1, 1) for i in (1, 2)),
+    pytest.param(1, 10**2150, id="1-10^2150"),
+]
+
+
+@pytest.mark.parametrize("i,k", CE_RANK_EDGE)
+def test_ce_rank_refuses_exactly_the_ranks_past_the_cap_with_one_binomial(monkeypatch, i, k):
+    rank = i * (k - 2 - i) * comb(k, i + 1) // (k - 1)
+    calls = []
+    monkeypatch.setattr(hurwitz, "comb", lambda n, t: calls.append(t) or comb(n, t))
+    if rank >= 10**4300:
+        with pytest.raises(ValueError, match=f"^rank for k = {k}, i = {i} has more than 4300 digits$"):
+            ce_rank(i, k)
+    else:
+        assert ce_rank(i, k) == rank
+    # a rank is decided by the closed-form bound and at most one binomial
+    assert len(calls) <= 1
 
 
 # -- presentations ----------------------------------------------------------------

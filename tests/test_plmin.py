@@ -125,6 +125,31 @@ def test_a_program_without_rows_is_refused_as_unbounded():
     assert solve(program(num_vars=1, equalities=[([1], 2)])).min_value == 0
 
 
+_UNIT = [([1], 1), ([-1], 0)]  # 0 <= x <= 1
+
+# A float in place of each number a program reads, and what its refusal calls it.
+FLOAT_INPUTS = {
+    "equality entry": lambda: program(1, equalities=[([0.1], 1)]),
+    "equality rhs": lambda: program(1, equalities=[([1], 0.1)]),
+    "inequality entry": lambda: program(1, inequalities=[([0.1], 1), ([-1], 0)]),
+    # not solved with the binary value 3602879701896397/36028797018963968 of 0.1
+    "inequality rhs": lambda: solve(program(1, inequalities=[([1], 0.1), ([-1], 0)], objective_linear=[-1])),
+    "objective entry": lambda: program(1, inequalities=_UNIT, objective_linear=[0.1]),
+    "objective constant": lambda: program(1, inequalities=_UNIT, objective_const=0.1),
+    "hinge entry": lambda: program(1, inequalities=_UNIT, hinges=[(1, [0.1], 0)]),
+    "hinge rhs": lambda: program(1, inequalities=_UNIT, hinges=[(1, [1], 0.1)]),
+    "point entry": lambda: objective_value(program(1, inequalities=_UNIT), [0.1]),
+    "center entry": lambda: sample_check(program(1, inequalities=_UNIT), 1, 0, [0.1]),
+}
+
+
+@pytest.mark.parametrize("what", FLOAT_INPUTS)
+def test_a_float_input_is_refused_by_name(what):
+    with pytest.raises(ValueError) as exc:
+        FLOAT_INPUTS[what]()
+    assert str(exc.value) == f"{what} 0.1 is a float, not an exact number"
+
+
 def test_recession_ray_found_through_a_subset_in_four_variables():
     # u_i = x_i - w >= 0 for i < 3, u_1 + u_2 + u_3 <= 1, w >= 0: a simplex
     # swept along (1, 1, 1, 1).  The normals span R^4, so only the null
